@@ -15,9 +15,10 @@ import time
 from dataclasses import dataclass, field
 
 from .decompose import decompose_id_reduced
-from .errors import BudgetExceeded, LatticeMismatch
+from .errors import BudgetExceeded, InvalidArgument, LatticeMismatch
 from .functable import (
     FnTable,
+    compose_values,
     enumerate_class,
     format_function,
     join_fn,
@@ -64,9 +65,9 @@ class _Stream:
     """Per-arity composition stream: walks argument tuples level by level,
     level d holding the tuples whose maximum reached-index is exactly d."""
 
-    def __init__(self, arity: int, bases: list[tuple[int, ...]]):
+    def __init__(self, arity: int, bases: list):
         self.arity = arity
-        self.bases = bases  # value vectors of the base functions
+        self.bases = bases  # lookups of the base functions
         self.level = 0
         self._pending = None
 
@@ -107,9 +108,9 @@ def closure(
     """
     base = list(base)
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        raise InvalidArgument(f"budget must be >= 1, got {budget}")
     if not base:
-        raise ValueError("closure needs at least one base function")
+        raise InvalidArgument("closure needs at least one base function")
     lat = base[0].lattice
     if any(f.lattice != lat for f in base):
         raise LatticeMismatch("base functions live on different lattices")
@@ -118,12 +119,10 @@ def closure(
     reached: list[FnTable] = [projection(lat, n, i) for i in range(1, n + 1)]
     keys = {f.key() for f in reached}
     vectors = [f.values for f in reached]
-    m = lat.size
-    cells = m**n
 
-    by_arity: dict[int, list[tuple[int, ...]]] = {}
+    by_arity: dict[int, list] = {}
     for f in base:
-        by_arity.setdefault(f.arity, []).append(f.values)
+        by_arity.setdefault(f.arity, []).append(f.lookup)
     streams = [_Stream(k, by_arity[k]) for k in sorted(by_arity)]
 
     missing = None if until_keys is None else set(until_keys) - keys
@@ -147,20 +146,14 @@ def closure(
                     stream.advance()
                     continue
                 progressed = True
-                for fvals in stream.bases:
-                    attempts += 1
-                    served += 1
-                    if attempts > budget:
+                gvals = [vectors[i] for i in idxs]
+                for lookup in stream.bases:
+                    if attempts == budget:
                         budget_hit = True
                         break
-                    gvals = [vectors[i] for i in idxs]
-                    out = []
-                    for t in range(cells):
-                        pos = 0
-                        for gv in gvals:
-                            pos = pos * m + gv[t]
-                        out.append(fvals[pos])
-                    values = tuple(out)
+                    attempts += 1
+                    served += 1
+                    values = compose_values(lookup, gvals)
                     key = (n, values)
                     if key not in keys:
                         keys.add(key)

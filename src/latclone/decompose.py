@@ -14,10 +14,10 @@ necessarily idempotent) aggregation function as a mu/oplus composite.
 from __future__ import annotations
 
 from .errors import NotAggregation, NotIdempotent, UnsupportedArity
-from .functable import FnTable, is_aggregation, is_idempotent, leq_pointwise
+from .functable import FnTable, all_tuples, is_aggregation, is_idempotent
 from .generators import iota_spec, mu_spec, oplus_spec
 from .lattice import Lattice
-from .terms import Apply, Join, Meet, Term, Var, join_of, meet_of, to_table
+from .terms import Apply, Join, Meet, Term, Var, _tabulate, join_of, meet_of
 
 
 def _require_idempotent_aggregation(f: FnTable):
@@ -25,32 +25,36 @@ def _require_idempotent_aggregation(f: FnTable):
         raise NotIdempotent("input must be an idempotent aggregation function")
 
 
-def _meet_vars(n: int) -> Term:
-    return meet_of(Var(i) for i in range(1, n + 1))
-
-
-def _join_vars(n: int) -> Term:
-    return join_of(Var(i) for i in range(1, n + 1))
-
-
-def decompose_id(f: FnTable) -> Term:
-    """Meet-of-joins iota term tabulating to f; f idempotent aggregation.
+def _decompose(f: FnTable, reduced: bool) -> Term:
+    """The meet-of-joins iota term shared by both decompositions.
 
     Outer meet runs over all tuples a in lexicographic order, inner join
-    over coordinates i = 1..n.
+    over coordinates i = 1..n.  The third iota threshold is join(a), or top
+    when reduced, in which case each node is joined with the shared tail
+    iota[(meet a, join a, 1); f(a)](mx, jx, jx).
     """
     _require_idempotent_aggregation(f)
     lat, n = f.lattice, f.arity
-    mx, jx = _meet_vars(n), _join_vars(n)
+    xs = [Var(i) for i in range(1, n + 1)]
+    mx, jx = meet_of(xs), join_of(xs)
     operands = []
     for a in f.tuples():
         wa, va, fa = lat.meet_all(a), lat.join_all(a), f(a)
+        third = lat.top if reduced else va
         inner = [
-            Apply(iota_spec(lat, wa, a[i], va, fa), (mx, Var(i + 1), jx))
+            Apply(iota_spec(lat, wa, a[i], third, fa), (mx, xs[i], jx))
             for i in range(n)
         ]
+        if reduced:
+            tail = Apply(iota_spec(lat, wa, va, lat.top, fa), (mx, jx, jx))
+            inner = [Join(node, tail) for node in inner]
         operands.append(join_of(inner))
     return meet_of(operands)
+
+
+def decompose_id(f: FnTable) -> Term:
+    """Meet-of-joins iota term tabulating to f; f idempotent aggregation."""
+    return _decompose(f, reduced=False)
 
 
 def decompose_id_reduced(f: FnTable) -> Term:
@@ -59,23 +63,7 @@ def decompose_id_reduced(f: FnTable) -> Term:
     Each original iota[(w, a_i, v); f(a)](mx, x_i, jx) becomes
     iota[(w, a_i, 1); f(a)](mx, x_i, jx) join iota[(w, v, 1); f(a)](mx, jx, jx).
     """
-    _require_idempotent_aggregation(f)
-    lat, n = f.lattice, f.arity
-    top = lat.top
-    mx, jx = _meet_vars(n), _join_vars(n)
-    operands = []
-    for a in f.tuples():
-        wa, va, fa = lat.meet_all(a), lat.join_all(a), f(a)
-        tail = Apply(iota_spec(lat, wa, va, top, fa), (mx, jx, jx))
-        inner = [
-            Join(
-                Apply(iota_spec(lat, wa, a[i], top, fa), (mx, Var(i + 1), jx)),
-                tail,
-            )
-            for i in range(n)
-        ]
-        operands.append(join_of(inner))
-    return meet_of(operands)
+    return _decompose(f, reduced=True)
 
 
 def h_agg_term(f: FnTable, a) -> Term:
@@ -115,29 +103,27 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
     In a meet, an operand can go when another operand is pointwise below it;
     dually for joins.  Purely a size optimization, applied bottom-up.
     """
+    return _simplify(t, lat, all_tuples(lat.size, n), {})
+
+
+def _simplify(t: Term, lat: Lattice, points, memo: dict) -> Term:
+    """simplify over the given points; one tabulation memo for the pass."""
     if isinstance(t, Var):
         return t
     if isinstance(t, Apply):
-        return Apply(t.spec, tuple(simplify(arg, lat, n) for arg in t.args))
+        return Apply(t.spec, tuple(_simplify(arg, lat, points, memo) for arg in t.args))
     node_type = Meet if isinstance(t, Meet) else Join
-    ops = [simplify(o, lat, n) for o in _flatten(t, node_type)]
-    tables = [to_table(o, lat, n) for o in ops]
-    def dominated(i: int) -> bool:
-        for j in range(len(ops)):
-            if i == j:
-                continue
-            if tables[i].values == tables[j].values:
-                if j < i:  # keep only the first of equal operands
-                    return True
-                continue
-            better = (
-                leq_pointwise(tables[j], tables[i])
-                if node_type is Meet
-                else leq_pointwise(tables[i], tables[j])
-            )
-            if better:
-                return True
-        return False
+    ops = [_simplify(o, lat, points, memo) for o in _flatten(t, node_type)]
+    tables = [_tabulate(o, lat, points, memo) for o in ops]
+    leq = lat.leq_table
 
-    kept = [ops[i] for i in range(len(ops)) if not dominated(i)]
+    def drops(j: int, i: int) -> bool:
+        """Whether operand j makes operand i redundant."""
+        if tables[i] == tables[j]:
+            return j < i  # keep only the first of equal operands
+        lo, hi = (tables[j], tables[i]) if node_type is Meet else (tables[i], tables[j])
+        return all(leq[a][b] for a, b in zip(lo, hi))
+
+    kept = [o for i, o in enumerate(ops)
+            if not any(drops(j, i) for j in range(len(ops)) if j != i)]
     return (meet_of if node_type is Meet else join_of)(kept)

@@ -37,6 +37,10 @@ class IndexOutOfRange(LatcloneError):
     """Projection or variable index outside 1..n."""
 
 
+class InvalidArgument(LatcloneError, ValueError):
+    """Argument outside its valid range; still a ValueError for old callers."""
+
+
 class BudgetExceeded(LatcloneError):
     """Enumeration or closure budget exhausted."""
 

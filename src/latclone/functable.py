@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
     IndexOutOfRange,
+    InvalidArgument,
     LatticeMismatch,
     ParseError,
 )
@@ -64,6 +65,11 @@ class FnTable:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(xs)}")
         return self.values[tuple_index(self.lattice.size, xs)]
 
+    @cached_property
+    def lookup(self):
+        """Bound dict lookup from argument tuples to values (built once)."""
+        return dict(zip(self.tuples(), self.values)).__getitem__
+
     def key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical encoding for set membership and deduplication."""
         return (self.arity, self.values)
@@ -88,12 +94,20 @@ def projection(lat: Lattice, n: int, i: int) -> FnTable:
     return from_callable(lat, n, lambda xs: xs[i - 1], name=f"p{i}^{n}")
 
 
+def _op_table(lat: Lattice, name: str, rows) -> FnTable:
+    """A binary operation table as an FnTable, built once per lattice."""
+    cache = lat.__dict__.setdefault("_op_table_cache", {})
+    if name not in cache:
+        cache[name] = FnTable(lat, 2, tuple(v for row in rows for v in row), name=name)
+    return cache[name]
+
+
 def meet_fn(lat: Lattice) -> FnTable:
-    return from_callable(lat, 2, lambda xs: lat.meet(xs[0], xs[1]), name="meet")
+    return _op_table(lat, "meet", lat.meet_table)
 
 
 def join_fn(lat: Lattice) -> FnTable:
-    return from_callable(lat, 2, lambda xs: lat.join(xs[0], xs[1]), name="join")
+    return _op_table(lat, "join", lat.join_table)
 
 
 def _check_same_lattice(*fns: FnTable):
@@ -101,6 +115,12 @@ def _check_same_lattice(*fns: FnTable):
     for f in fns[1:]:
         if f.lattice is not lat and f.lattice != lat:
             raise LatticeMismatch("operands live on different lattices")
+
+
+def compose_values(lookup, gvals) -> tuple[int, ...]:
+    """The composition kernel: the outer table's lookup applied cell by cell
+    to the tuples of inner values, one inner value vector per argument."""
+    return tuple(map(lookup, zip(*gvals)))
 
 
 def compose(f: FnTable, gs) -> FnTable:
@@ -112,16 +132,7 @@ def compose(f: FnTable, gs) -> FnTable:
     n = gs[0].arity
     if any(g.arity != n for g in gs):
         raise ArityMismatch("inner functions must share one arity")
-    m = f.lattice.size
-    fvals = f.values
-    gvals = [g.values for g in gs]
-    out = []
-    for t in range(m**n):
-        idx = 0
-        for gv in gvals:
-            idx = idx * m + gv[t]
-        out.append(fvals[idx])
-    return FnTable(f.lattice, n, tuple(out))
+    return FnTable(f.lattice, n, compose_values(f.lookup, [g.values for g in gs]))
 
 
 def is_monotone(f: FnTable) -> bool:
@@ -285,7 +296,9 @@ def enumerate_class(
     value vectors.  For the idempotent class the diagonal is pinned and
     candidates confined to [meet(x), join(x)]."""
     if cls not in CLASSES:
-        raise ValueError(f"unknown class {cls!r}; expected one of {CLASSES}")
+        raise InvalidArgument(f"unknown class {cls!r}; expected one of {CLASSES}")
+    if n < 1:
+        raise ArityMismatch(f"arity must be >= 1, got {n}")
     out: list[FnTable] = []
     for values in iter_monotone_values(
         lat, n, cell_budget=cell_budget, **_CLASS_FLAGS[cls]

@@ -113,9 +113,13 @@ class GeneratorSpec:
         return a
 
     def table(self, lat: Lattice) -> FnTable:
-        return from_callable(
-            lat, self.arity, lambda xs: self.apply(lat, xs), name=self.format()
-        )
+        """The generator's table on lat, built once per lattice instance."""
+        cache = lat.__dict__.setdefault("_spec_table_cache", {})
+        if self not in cache:
+            cache[self] = from_callable(
+                lat, self.arity, lambda xs: self.apply(lat, xs), name=self.format()
+            )
+        return cache[self]
 
 
 def parse_spec(token: str) -> GeneratorSpec:
@@ -277,12 +281,3 @@ def count_generators_m(n: int) -> int:
         raise InvalidSize(f"M-family counting needs n >= 4, got {n}")
     return n * n + 4 * n - 5
 
-
-def count_iota_chain(n: int) -> int:
-    """iota-only count for the n-element chain (excludes meet and join)."""
-    return count_generators_chain(n) - 2
-
-
-def count_iota_m(n: int) -> int:
-    """iota-only count for M_{n-2} (excludes meet and join)."""
-    return count_generators_m(n) - 2

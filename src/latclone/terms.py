@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
-from .functable import FnTable, all_tuples
+from .functable import FnTable, all_tuples, compose_values, join_fn, meet_fn
 from .generators import GeneratorSpec, parse_spec
 from .lattice import Lattice
 
@@ -78,36 +78,43 @@ def join_of(terms) -> Term:
     return acc
 
 
-def max_var(t: Term) -> int:
-    if isinstance(t, Var):
-        return t.index
-    if isinstance(t, (Meet, Join)):
-        return max(max_var(t.left), max_var(t.right))
-    return max((max_var(arg) for arg in t.args), default=0)
+def _tabulate(t: Term, lat: Lattice, points, memo: dict) -> tuple[int, ...]:
+    """Values of t at every point: an iterative post-order walk that composes
+    each distinct node object's outer table with its children's vectors once.
+    memo maps id(node) to (node, values); holding the node keeps its id from
+    being reused, so walks over the same points may share the memo.
+    """
+    columns = tuple(zip(*points))
+    lookups = {Meet: meet_fn(lat).lookup, Join: join_fn(lat).lookup}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) in memo:
+            continue
+        if isinstance(node, Var):
+            if node.index > len(columns):
+                raise ArityMismatch(f"variable x{node.index} outside arity {len(columns)}")
+            memo[id(node)] = (node, columns[node.index - 1])
+            continue
+        kids = node.args if isinstance(node, Apply) else (node.left, node.right)
+        pending = [k for k in kids if id(k) not in memo]
+        if pending:
+            stack.append(node)
+            stack.extend(pending)
+            continue
+        lookup = lookups.get(type(node)) or node.spec.table(lat).lookup
+        memo[id(node)] = (node, compose_values(lookup, [memo[id(k)][1] for k in kids]))
+    return memo[id(t)][1]
 
 
 def evaluate(t: Term, lat: Lattice, xs) -> int:
     """Evaluate the term at the tuple xs of element indices."""
-    if isinstance(t, Var):
-        if t.index > len(xs):
-            raise ArityMismatch(
-                f"variable x{t.index} outside the {len(xs)}-tuple"
-            )
-        return xs[t.index - 1]
-    if isinstance(t, Meet):
-        return lat.meet(evaluate(t.left, lat, xs), evaluate(t.right, lat, xs))
-    if isinstance(t, Join):
-        return lat.join(evaluate(t.left, lat, xs), evaluate(t.right, lat, xs))
-    args = tuple(evaluate(arg, lat, xs) for arg in t.args)
-    return t.spec.apply(lat, args)
+    return _tabulate(t, lat, [tuple(xs)], {})[0]
 
 
 def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
     """Tabulate the term as an n-ary function table."""
-    if max_var(t) > n:
-        raise ArityMismatch(f"term uses x{max_var(t)} but arity is {n}")
-    values = tuple(evaluate(t, lat, xs) for xs in all_tuples(lat.size, n))
-    return FnTable(lat, n, values)
+    return FnTable(lat, n, _tabulate(t, lat, all_tuples(lat.size, n), {}))
 
 
 def print_term(t: Term) -> str:

@@ -158,6 +158,31 @@ def test_closure_budget_exit(capsys):
     assert "budget_hit=true" in out
 
 
+def test_closure_bad_budget_exit(capsys):
+    code, out, err = run(
+        capsys,
+        ["closure", "--lattice", "chain:2", "--arity", "2", "--budget", "0"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "InvalidArgument: budget must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--lattice", "chain:2", "--arity", "0"],
+        ["enum", "--lattice", "chain:2", "--arity", "0", "--class", "idempotent"],
+    ],
+    ids=["verify", "enum"],
+)
+def test_arity_zero_exit(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "ArityMismatch: arity must be >= 1, got 0\n"
+
+
 def test_closure_extra_fn_file(capsys, median_file):
     code, out, _ = run(
         capsys,

@@ -15,7 +15,12 @@ from latclone import (
     reduced_generator_set,
     verify_generation,
 )
-from latclone.errors import BudgetExceeded, LatticeMismatch
+from latclone.errors import (
+    ArityMismatch,
+    BudgetExceeded,
+    InvalidArgument,
+    LatticeMismatch,
+)
 
 
 def test_meet_join_closure_on_chain2(chain2):
@@ -71,8 +76,16 @@ def test_closure_budget_hit_partial_result(chain3):
     base += [spec.table(chain3) for spec in reduced_generator_set(chain3)]
     report = closure(base, 2, budget=50)
     assert report.budget_hit
-    assert report.attempts == 51
+    assert report.attempts == 50
     assert len(report.reached) >= 2
+
+
+def test_closure_budget_counts_compositions_made(chain3):
+    base = [meet_fn(chain3), join_fn(chain3)]
+    base += [spec.table(chain3) for spec in reduced_generator_set(chain3)]
+    report = closure(base, 2, budget=5)
+    assert report.budget_hit
+    assert report.attempts == 5
 
 
 def test_closure_early_stop_on_target_keys(chain3):
@@ -93,6 +106,18 @@ def test_closure_rejects_mixed_lattices(chain2, chain3):
 def test_closure_rejects_empty_base():
     with pytest.raises(ValueError):
         closure([], 2)
+
+
+def test_closure_argument_errors_are_domain_errors(chain2):
+    with pytest.raises(InvalidArgument):
+        closure([], 2)
+    with pytest.raises(InvalidArgument):
+        closure([meet_fn(chain2)], 2, budget=0)
+
+
+def test_verify_generation_rejects_arity_zero(chain2):
+    with pytest.raises(ArityMismatch):
+        verify_generation(chain2, 0)
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from latclone.errors import (
     LatticeMismatch,
     ParseError,
 )
-from latclone.functable import from_callable, iter_monotone_values
+from latclone.functable import compose_values, from_callable, iter_monotone_values
 
 
 def brute_force_binary(lat, predicate):
@@ -80,6 +80,27 @@ def test_compose_errors(chain2, chain3):
         compose(meet_fn(chain3), [projection(chain3, 2, 1), projection(chain3, 3, 1)])
     with pytest.raises(LatticeMismatch):
         compose(meet_fn(chain3), [projection(chain2, 2, 1), projection(chain2, 2, 2)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compose_values_matches_index_arithmetic(diamond, k):
+    rng = random.Random(k)
+    m, n = diamond.size, 2
+    f = FnTable(diamond, k, tuple(rng.randrange(m) for _ in range(m**k)))
+    gvals = [tuple(rng.randrange(m) for _ in range(m**n)) for _ in range(k)]
+    expected = []
+    for t in range(m**n):
+        idx = 0
+        for gv in gvals:
+            idx = idx * m + gv[t]
+        expected.append(f.values[idx])
+    assert compose_values(f.lookup, gvals) == tuple(expected)
+
+
+def test_enumerate_rejects_arity_zero(chain2):
+    for cls in ("idempotent", "aggregation", "monotone"):
+        with pytest.raises(ArityMismatch):
+            enumerate_class(chain2, 0, cls)
 
 
 def test_predicates_on_lattice_operations(diamond):

@@ -6,6 +6,8 @@ from latclone import (
     Meet,
     Var,
     compose,
+    decompose_id_reduced,
+    enumerate_class,
     evaluate,
     is_idempotent,
     join_fn,
@@ -18,6 +20,7 @@ from latclone import (
 )
 from latclone.errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
 from latclone.generators import iota_spec, parse_spec
+from latclone.functable import all_tuples
 from latclone.terms import (
     depth,
     format_term_file,
@@ -32,6 +35,17 @@ def iota_term(lat, a, b, c, d, args):
     return Apply(iota_spec(lat, a, b, c, d), args)
 
 
+def slow_eval(t, lat, xs):
+    """Scalar per-point evaluator, independent of the composition kernel."""
+    if isinstance(t, Var):
+        return xs[t.index - 1]
+    if isinstance(t, Meet):
+        return lat.meet(slow_eval(t.left, lat, xs), slow_eval(t.right, lat, xs))
+    if isinstance(t, Join):
+        return lat.join(slow_eval(t.left, lat, xs), slow_eval(t.right, lat, xs))
+    return t.spec.apply(lat, tuple(slow_eval(arg, lat, xs) for arg in t.args))
+
+
 def test_eval_basics(chain3):
     assert evaluate(Join(Var(1), Var(2)), chain3, (1, 2)) == 2
     assert evaluate(Meet(Var(1), Var(2)), chain3, (1, 2)) == 1
@@ -43,6 +57,25 @@ def test_eval_basics(chain3):
 def test_eval_arity_error(chain3):
     with pytest.raises(ArityMismatch):
         evaluate(Var(3), chain3, (0, 1))
+
+
+def test_deep_term_tabulates_without_recursion(chain3):
+    t = Var(1)
+    for _ in range(3000):
+        t = Meet(t, Var(1))
+    assert to_table(t, chain3, 2).values == projection(chain3, 2, 1).values
+    assert evaluate(t, chain3, (2, 0)) == 2
+
+
+def test_to_table_matches_scalar_evaluation(chain3):
+    # decompositions share their meet(x)/join(x) nodes; parsed copies of
+    # the same terms share no node objects
+    for f in enumerate_class(chain3, 2, "idempotent"):
+        t = decompose_id_reduced(f)
+        for u in (t, parse_term(print_term(t), 2)):
+            expected = tuple(slow_eval(u, chain3, xs) for xs in all_tuples(3, 2))
+            assert to_table(u, chain3, 2).values == expected
+            assert evaluate(u, chain3, (2, 1)) == expected[7]
 
 
 def test_apply_argument_count_checked(chain3):
