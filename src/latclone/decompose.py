@@ -92,9 +92,15 @@ def h_agg_term(f: FnTable, a) -> Term:
 
 
 def _flatten(t: Term, node_type) -> list[Term]:
-    if isinstance(t, node_type):
-        return _flatten(t.left, node_type) + _flatten(t.right, node_type)
-    return [t]
+    """The operands of the node_type chain at t, left to right."""
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, node_type):
+            stack += [node.right, node.left]
+        else:
+            out.append(node)
+    return out
 
 
 def simplify(t: Term, lat: Lattice, n: int) -> Term:

@@ -57,7 +57,7 @@ class FnTable:
             raise ArityMismatch(
                 f"value vector has {len(self.values)} entries, expected {m**self.arity}"
             )
-        if any(not 0 <= v < m for v in self.values):
+        if min(self.values) < 0 or max(self.values) >= m:
             raise IndexOutOfRange("value outside element range")
 
     def __call__(self, xs) -> int:
@@ -218,11 +218,15 @@ def iter_monotone_values(
     satisfying the boundary conditions, a pinned diagonal, or confinement of
     every value to [meet(x), join(x)].
 
-    Backtracks over tuples in lexicographic order.  At each tuple the
-    candidates are bounded below by the join of the values already assigned
-    at smaller comparable tuples, which is sound because the index order is
-    a linear extension of the product order.  Vectors come out in
-    lexicographic order.
+    A depth-first walk over the cells in lexicographic order, kept on an
+    explicit stack of one candidate iterator per cell.  A cell's candidates
+    are bounded below by the join of the values at its lower-cover
+    neighbours (one coordinate one cover step down).  Those cells come
+    earlier, because the index order is a linear extension of the product
+    order, and bounding by them suffices for the reason is_monotone checks
+    only cover steps.  The pins and intervals are folded into one table of
+    candidates per cell and lower bound.  Vectors come out in lexicographic
+    order.
     """
     m = lat.size
     cells = m**n
@@ -230,52 +234,48 @@ def iter_monotone_values(
         raise BudgetExceeded(
             f"{m}^{n} = {cells} cells exceeds the cell budget {cell_budget}"
         )
-    tuples = all_tuples(m, n)
-    leq = lat.leq_table
-    preds = [
-        [j for j in range(k) if all(leq[a][b] for a, b in zip(tuples[j], tuples[k]))]
-        for k in range(cells)
-    ]
-    join_t = lat.join_table
-
-    forced: list[int | None] = [None] * cells
+    leq, join_t, bottom = lat.leq_table, lat.join_table, lat.bottom
+    lower_covers: list[list[int]] = [[] for _ in range(m)]
+    for x in range(m):
+        for c in lat.upper_covers(x):
+            lower_covers[c].append(x)
+    strides = [m ** (n - 1 - i) for i in range(n)]
+    pins = {}
     if boundary:
-        forced[0] = lat.bottom
-        forced[cells - 1] = lat.top
+        pins[0], pins[cells - 1] = bottom, lat.top
     if diagonal:
-        for x in range(m):
-            forced[tuple_index(m, (x,) * n)] = x
-    intervals: list[tuple[int, int] | None] = [None] * cells
-    if interval:
-        intervals = [(lat.meet_all(xs), lat.join_all(xs)) for xs in tuples]
+        pins.update((tuple_index(m, (x,) * n), x) for x in range(m))
+    neighbours, allowed = [], []
+    for k, xs in enumerate(all_tuples(m, n)):
+        neighbours.append(tuple(
+            k - (x - c) * stride
+            for x, stride in zip(xs, strides)
+            for c in lower_covers[x]
+        ))
+        cands = [pins[k]] if k in pins else range(m)
+        if interval:
+            lo, hi = lat.meet_all(xs), lat.join_all(xs)
+            cands = [v for v in cands if leq[lo][v] and leq[v][hi]]
+        allowed.append([tuple(v for v in cands if leq[lb][v]) for lb in range(m)])
 
     assigned = [0] * cells
-
-    def walk(k: int):
-        if k == cells:
+    candidates = [None] * cells
+    candidates[0] = iter(allowed[0][bottom])
+    last, k = cells - 1, 0
+    while k >= 0:
+        v = next(candidates[k], None)
+        if v is None:
+            k -= 1
+            continue
+        assigned[k] = v
+        if k == last:
             yield tuple(assigned)
-            return
-        lb = lat.bottom
-        for j in preds[k]:
+            continue
+        k += 1
+        lb = bottom
+        for j in neighbours[k]:
             lb = join_t[lb][assigned[j]]
-        pin = forced[k]
-        if pin is not None:
-            if leq[lb][pin]:
-                lo_hi = intervals[k]
-                if lo_hi is None or (leq[lo_hi[0]][pin] and leq[pin][lo_hi[1]]):
-                    assigned[k] = pin
-                    yield from walk(k + 1)
-            return
-        lo_hi = intervals[k]
-        for v in range(m):
-            if not leq[lb][v]:
-                continue
-            if lo_hi is not None and not (leq[lo_hi[0]][v] and leq[v][lo_hi[1]]):
-                continue
-            assigned[k] = v
-            yield from walk(k + 1)
-
-    yield from walk(0)
+        candidates[k] = iter(allowed[k][lb])
 
 
 _CLASS_FLAGS = {

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .errors import (
     ArityMismatch,
     EmptyTuple,
+    InvalidArgument,
     InvalidSize,
     NotALattice,
     NotAPartialOrder,
@@ -134,19 +135,31 @@ def _linear_extension(m: int, succs: list[set[int]]) -> list[int]:
     return order
 
 
+# Characters that delimit labels in the file formats: ',' ';' '[' ']' in
+# generator specs, '(' ')' in terms and '#' starting a comment; '->'
+# separates a function row's inputs from its output.
+LABEL_RESERVED = ",;[]()#"
+
+
 def from_covers(labels, covers, name: str = "lattice") -> Lattice:
     """Build a lattice from element labels and covering pairs (lower, upper).
 
     The order is the reflexive-transitive closure of the covers.  Duplicate
     and transitively implied covers are accepted.  Elements are re-indexed
-    into a linear extension.
+    into a linear extension.  A label is nonempty and holds no whitespace,
+    no '->' and none of the LABEL_RESERVED characters, so that every file
+    format parses back what it prints.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("element labels must be distinct")
     for lab in labels:
-        if not lab or any(ch.isspace() for ch in lab):
-            raise ValueError(f"bad element label {lab!r}")
+        if (not lab or any(ch.isspace() or ch in LABEL_RESERVED for ch in lab)
+                or "->" in lab):
+            raise InvalidArgument(
+                f"bad element label {lab!r}: labels are nonempty, without "
+                f"whitespace, '->' or any of {' '.join(LABEL_RESERVED)}"
+            )
     m = len(labels)
     if m < 1:
         raise ValueError("lattice needs at least one element")

@@ -78,6 +78,14 @@ def join_of(terms) -> Term:
     return acc
 
 
+def _children(node: Term) -> tuple[Term, ...]:
+    if isinstance(node, Var):
+        return ()
+    if isinstance(node, Apply):
+        return node.args
+    return (node.left, node.right)
+
+
 def _tabulate(t: Term, lat: Lattice, points, memo: dict) -> tuple[int, ...]:
     """Values of t at every point: an iterative post-order walk that composes
     each distinct node object's outer table with its children's vectors once.
@@ -118,14 +126,34 @@ def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
 
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    if isinstance(t, Meet):
-        return f"(meet {print_term(t.left)} {print_term(t.right)})"
-    if isinstance(t, Join):
-        return f"(join {print_term(t.left)} {print_term(t.right)})"
-    inner = " ".join(print_term(arg) for arg in t.args)
-    return f"({t.spec.format()} {inner})"
+    """The s-expression of t, built without recursion.  A node object met a
+    second time (decompositions share their meet(x), join(x) and tail
+    subterms) copies the text of its first rendering."""
+    parts: list[str] = []
+    spans: dict[int, tuple[int, int]] = {}  # id(node) -> its slice of parts
+    stack: list = [t]  # terms, literal text and end marks, next item last
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            parts.append(item)
+        elif kind is tuple:
+            node, start = item
+            spans[id(node)] = (start, len(parts))
+        elif id(item) in spans:
+            start, stop = spans[id(item)]
+            parts += parts[start:stop]
+        elif kind is Var:
+            parts.append(f"x{item.index}")
+        elif kind is Apply:
+            stack += ((item, len(parts)), ")")
+            for arg in reversed(item.args[1:]):
+                stack += (arg, " ")
+            stack += (item.args[0], f"({item.spec.format()} ")
+        else:
+            head = "(meet " if kind is Meet else "(join "
+            stack += ((item, len(parts)), ")", item.right, " ", item.left, head)
+    return "".join(parts)
 
 
 def _tokenize(s: str):
@@ -205,19 +233,21 @@ def parse_term(s: str, n: int) -> Term:
 
 
 def size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, (Meet, Join)):
-        return 1 + size(t.left) + size(t.right)
-    return 1 + sum(size(arg) for arg in t.args)
+    """Node count of t as a tree (a shared subterm counts at every use)."""
+    count, stack = 0, [t]
+    while stack:
+        count += 1
+        stack += _children(stack.pop())
+    return count
 
 
 def depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if isinstance(t, (Meet, Join)):
-        return 1 + max(depth(t.left), depth(t.right))
-    return 1 + max((depth(arg) for arg in t.args), default=0)
+    deepest, stack = 0, [(t, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        stack += [(kid, d + 1) for kid in _children(node)]
+    return deepest
 
 
 def parse_term_file(text: str) -> tuple[int, str, Term]:

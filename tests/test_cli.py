@@ -100,6 +100,20 @@ def test_enum_budget_exit(capsys):
     assert "BudgetExceeded" in err
 
 
+def test_enum_many_cells_exits_with_budget_line(capsys):
+    # 2048 cells: deeper than the recursion limit, so the walk must not recurse
+    code, out, err = run(
+        capsys,
+        ["enum", "--lattice", "chain:2", "--arity", "11", "--class", "monotone",
+         "--cell-budget", "5000", "--count-budget", "10"],
+    )
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("BudgetExceeded:")
+    assert "Traceback" not in err
+
+
 def test_decompose_round_trip(capsys, median_file, tmp_path):
     out_path = tmp_path / "median.term"
     code, out, err = run(

@@ -5,20 +5,27 @@ import pytest
 from latclone import (
     boolean,
     chain,
+    decompose_id_reduced,
+    format_function,
     format_lattice,
     from_covers,
     m_lattice,
     n5,
+    parse_function,
     parse_lattice,
+    to_table,
 )
 from latclone.errors import (
     ArityMismatch,
     EmptyTuple,
+    InvalidArgument,
     InvalidSize,
     NotALattice,
     NotAPartialOrder,
     ParseError,
 )
+from latclone.functable import from_callable
+from latclone.terms import format_term_file, parse_term_file
 
 
 def test_diamond_from_covers():
@@ -173,6 +180,31 @@ def test_lattice_file_round_trip(pentagon):
     text = format_lattice(pentagon)
     back = parse_lattice(text)
     assert back == pentagon
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a#b", "a;b", "a[b", "a]b", "a(b", "a)b", "a->b"])
+def test_labels_with_format_delimiters_are_refused(bad):
+    with pytest.raises(InvalidArgument):
+        from_covers(["0", bad, "1"], [("0", bad), (bad, "1")])
+    with pytest.raises(ValueError):
+        from_covers([bad, "1"], [(bad, "1")])
+
+
+def test_files_round_trip_with_unusual_labels():
+    # accepted labels that look like directives, variables or arrows
+    labels = ["cover", "x1", "-", "end>"]
+    lat = from_covers(
+        labels, [("cover", "x1"), ("cover", "-"), ("x1", "end>"), ("-", "end>")],
+        name="odd",
+    )
+    assert parse_lattice(format_lattice(lat)) == lat
+    f = from_callable(lat, 2, lat.join_all, name="sup")
+    back = parse_function(format_function(f), lat)
+    assert (back.name, back.values) == ("sup", f.values)
+    t = decompose_id_reduced(f)
+    arity, lattice_name, parsed = parse_term_file(format_term_file(t, 2, lat.name))
+    assert (arity, lattice_name, parsed) == (2, "odd", t)
+    assert to_table(parsed, lat, 2).values == f.values
 
 
 def test_parse_errors_carry_line_numbers():

@@ -16,6 +16,7 @@ from latclone import (
     parse_term,
     print_term,
     projection,
+    simplify,
     to_table,
 )
 from latclone.errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
@@ -65,6 +66,16 @@ def test_deep_term_tabulates_without_recursion(chain3):
         t = Meet(t, Var(1))
     assert to_table(t, chain3, 2).values == projection(chain3, 2, 1).values
     assert evaluate(t, chain3, (2, 0)) == 2
+
+
+def test_deep_term_walks_without_recursion(chain3):
+    t = Var(1)
+    for _ in range(3000):
+        t = Meet(t, Var(1))
+    assert depth(t) == 3001
+    assert size(t) == 6001  # 3000 Meet nodes over 3001 variables
+    assert print_term(t) == "(meet " * 3000 + "x1" + " x1)" * 3000
+    assert simplify(t, chain3, 2) == Var(1)
 
 
 def test_to_table_matches_scalar_evaluation(chain3):
