@@ -11,14 +11,16 @@ still terminates promptly.
 from __future__ import annotations
 
 import itertools
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .decompose import decompose_id_reduced
 from .errors import BudgetExceeded, InvalidArgument, LatticeMismatch
 from .functable import (
     FnTable,
-    compose_values,
     enumerate_class,
     format_function,
     join_fn,
@@ -49,16 +51,19 @@ def _tuples_with_max(d: int, k: int):
     Ordered by which positions carry d (every nonempty position mask, lowest
     position first), then lexicographically in the remaining positions.
     """
-    if d == 0:
-        yield (0,) * k
-        return
-    for mask in range(1, 1 << k):
-        free = [i for i in range(k) if not mask & (1 << i)]
-        for rest in itertools.product(range(d), repeat=len(free)):
-            t = [d] * k
-            for i, v in zip(free, rest):
-                t[i] = v
-            yield tuple(t)
+    return itertools.chain.from_iterable(
+        itertools.product(*[(d,) if mask >> i & 1 else range(d) for i in range(k)])
+        for mask in range(1, 1 << k)
+    )
+
+
+def _field_format(m: int, k: int) -> str:
+    """The array typecode of the narrowest unsigned field that holds every
+    index into a k-ary table on m elements."""
+    for code in "BHI":
+        if m**k <= 1 << 8 * array(code).itemsize:
+            return code
+    return "Q"
 
 
 class _Stream:
@@ -67,7 +72,7 @@ class _Stream:
 
     def __init__(self, arity: int, bases: list):
         self.arity = arity
-        self.bases = bases  # lookups of the base functions
+        self.bases = bases  # value vectors of the base functions
         self.level = 0
         self._pending = None
 
@@ -77,7 +82,7 @@ class _Stream:
         if self.level >= limit:
             return None
         if self._pending is None:
-            self._pending = iter(_tuples_with_max(self.level, self.arity))
+            self._pending = _tuples_with_max(self.level, self.arity)
         return self._pending
 
     def advance(self):
@@ -105,6 +110,11 @@ def closure(
     never leave the idempotent class, so covering the enumerated class via
     until_keys proves the closure equals it without driving the search to
     its fixpoint.
+
+    The kernel is a gather: every reached value vector is packed once into
+    an int with one fixed-width field per cell, so an argument tuple's
+    table index at every cell takes k-1 big-int multiply-adds, and one
+    itemgetter over those indices reads the composite off each base table.
     """
     base = list(base)
     if budget < 1:
@@ -117,15 +127,35 @@ def closure(
 
     start = time.monotonic()
     reached: list[FnTable] = [projection(lat, n, i) for i in range(1, n + 1)]
-    keys = {f.key() for f in reached}
-    vectors = [f.values for f in reached]
+    seen = {f.values for f in reached}
 
     by_arity: dict[int, list] = {}
     for f in base:
-        by_arity.setdefault(f.arity, []).append(f.lookup)
+        by_arity.setdefault(f.arity, []).append(f.values)
     streams = [_Stream(k, by_arity[k]) for k in sorted(by_arity)]
 
-    missing = None if until_keys is None else set(until_keys) - keys
+    m, cells, order = lat.size, lat.size**n, sys.byteorder
+    fmt = _field_format(m, max(by_arity))
+    nbytes = cells * array(fmt).itemsize
+
+    def pack(values) -> int:
+        return int.from_bytes(array(fmt, values).tobytes(), order)
+
+    def gather(idxs):
+        """A getter of the composite's values, at every cell, from a base
+        table whose arguments are the reached functions idxs."""
+        x = 0
+        for i in idxs:
+            x = x * m + packed[i]
+        cell_idx = x.to_bytes(nbytes, order)
+        if fmt != "B":  # bytes already read as one-byte ints
+            cell_idx = memoryview(cell_idx).cast(fmt)
+        if cells == 1:  # itemgetter of one item returns it bare
+            return itemgetter(slice(cell_idx[0], cell_idx[0] + 1))
+        return itemgetter(*cell_idx)
+
+    packed = [pack(f.values) for f in reached]
+    missing = None if until_keys is None else set(until_keys) - {(n, v) for v in seen}
     insertions = attempts = 0
     budget_hit = False
     done = missing is not None and not missing
@@ -136,35 +166,41 @@ def closure(
         for stream in streams:
             if budget_hit or done:
                 break
+            tables = stream.bases
             served = 0
             while served < quantum:
-                batch = stream.next_batch(len(vectors))
+                batch = stream.next_batch(len(packed))
                 if batch is None:
                     break  # blocked until reached grows
-                idxs = next(batch, None)
-                if idxs is None:
+                # the tuples a one-attempt-at-a-time loop would take this turn
+                chunk = list(itertools.islice(batch, -(-(quantum - served) // len(tables))))
+                if not chunk:
                     stream.advance()
                     continue
                 progressed = True
-                gvals = [vectors[i] for i in idxs]
-                for lookup in stream.bases:
-                    if attempts == budget:
-                        budget_hit = True
-                        break
-                    attempts += 1
-                    served += 1
-                    values = compose_values(lookup, gvals)
-                    key = (n, values)
-                    if key not in keys:
-                        keys.add(key)
+                outs = []
+                for get in map(gather, chunk):
+                    outs += map(get, tables)
+                # an attempt is due past the budget: cut there
+                budget_hit = len(outs) > budget - attempts
+                if budget_hit:
+                    del outs[budget - attempts:]
+                if not seen.issuperset(outs):
+                    for j, values in enumerate(outs):
+                        if values in seen:
+                            continue
+                        seen.add(values)
                         reached.append(FnTable(lat, n, values))
-                        vectors.append(values)
+                        packed.append(pack(values))
                         insertions += 1
                         if missing is not None:
-                            missing.discard(key)
+                            missing.discard((n, values))
                             if not missing:
-                                done = True
+                                done, budget_hit = True, False
+                                del outs[j + 1:]
                                 break
+                attempts += len(outs)
+                served += len(outs)
                 if budget_hit or done:
                     break
         if not progressed and not done:
@@ -178,7 +214,7 @@ def closure(
         attempts=attempts,
         budget_hit=budget_hit,
         elapsed=time.monotonic() - start,
-        keys=keys,
+        keys={(n, v) for v in seen},
     )
 
 

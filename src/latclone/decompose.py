@@ -107,19 +107,40 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
     """Drop dominated operands from meet/join chains; preserves the table.
 
     In a meet, an operand can go when another operand is pointwise below it;
-    dually for joins.  Purely a size optimization, applied bottom-up.
+    dually for joins.  Purely a size optimization, applied bottom-up by an
+    iterative post-order walk that simplifies each distinct node object
+    once: the children of a meet (join) node are the operands of its
+    meet (join) chain.  The memo maps id(node) to (node, simplified node),
+    holding the node as terms._tabulate does.
     """
-    return _simplify(t, lat, all_tuples(lat.size, n), {})
+    points = all_tuples(lat.size, n)
+    tabulated: dict = {}  # one tabulation memo for the pass
+    memo: dict[int, tuple[Term, Term]] = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if id(node) in memo:
+            continue
+        if isinstance(node, Var):
+            memo[id(node)] = (node, node)
+            continue
+        kids = node.args if isinstance(node, Apply) else _flatten(node, type(node))
+        pending = [k for k in kids if id(k) not in memo]
+        if pending:
+            stack.append(node)
+            stack += pending
+            continue
+        ops = [memo[id(k)][1] for k in kids]
+        if isinstance(node, Apply):
+            memo[id(node)] = (node, Apply(node.spec, tuple(ops)))
+        else:
+            memo[id(node)] = (node, _prune(ops, type(node), lat, points, tabulated))
+    return memo[id(t)][1]
 
 
-def _simplify(t: Term, lat: Lattice, points, memo: dict) -> Term:
-    """simplify over the given points; one tabulation memo for the pass."""
-    if isinstance(t, Var):
-        return t
-    if isinstance(t, Apply):
-        return Apply(t.spec, tuple(_simplify(arg, lat, points, memo) for arg in t.args))
-    node_type = Meet if isinstance(t, Meet) else Join
-    ops = [_simplify(o, lat, points, memo) for o in _flatten(t, node_type)]
+def _prune(ops: list[Term], node_type, lat: Lattice, points, memo: dict) -> Term:
+    """The node_type chain over the operands that no other operand makes
+    redundant; memo is the tabulation memo of the pass."""
     tables = [_tabulate(o, lat, points, memo) for o in ops]
     leq = lat.leq_table
 

@@ -141,33 +141,38 @@ def _linear_extension(m: int, succs: list[set[int]]) -> list[int]:
 LABEL_RESERVED = ",;[]()#"
 
 
+def _check_label(what: str, label: str) -> None:
+    if (not label or any(ch.isspace() or ch in LABEL_RESERVED for ch in label)
+            or "->" in label):
+        raise InvalidArgument(
+            f"bad {what} {label!r}: labels are nonempty, without "
+            f"whitespace, '->' or any of {' '.join(LABEL_RESERVED)}"
+        )
+
+
 def from_covers(labels, covers, name: str = "lattice") -> Lattice:
     """Build a lattice from element labels and covering pairs (lower, upper).
 
     The order is the reflexive-transitive closure of the covers.  Duplicate
     and transitively implied covers are accepted.  Elements are re-indexed
-    into a linear extension.  A label is nonempty and holds no whitespace,
-    no '->' and none of the LABEL_RESERVED characters, so that every file
-    format parses back what it prints.
+    into a linear extension.  The name and every label are nonempty and
+    hold no whitespace, no '->' and none of the LABEL_RESERVED characters,
+    so that every file format parses back what it prints.
     """
     labels = list(labels)
+    _check_label("lattice name", name)
     if len(set(labels)) != len(labels):
-        raise ValueError("element labels must be distinct")
+        raise InvalidArgument("element labels must be distinct")
     for lab in labels:
-        if (not lab or any(ch.isspace() or ch in LABEL_RESERVED for ch in lab)
-                or "->" in lab):
-            raise InvalidArgument(
-                f"bad element label {lab!r}: labels are nonempty, without "
-                f"whitespace, '->' or any of {' '.join(LABEL_RESERVED)}"
-            )
+        _check_label("element label", lab)
     m = len(labels)
     if m < 1:
-        raise ValueError("lattice needs at least one element")
+        raise InvalidArgument("lattice needs at least one element")
     pos = {lab: i for i, lab in enumerate(labels)}
     succs: list[set[int]] = [set() for _ in range(m)]
     for lo, hi in covers:
         if lo not in pos or hi not in pos:
-            raise ValueError(f"cover ({lo!r}, {hi!r}) references unknown label")
+            raise InvalidArgument(f"cover ({lo!r}, {hi!r}) references unknown label")
         if lo == hi:
             raise NotAPartialOrder(f"self-cover on {lo!r}")
         succs[pos[lo]].add(pos[hi])

@@ -176,7 +176,11 @@ def _tokenize(s: str):
 
 
 def parse_term(s: str, n: int) -> Term:
-    """Parse an s-expression into a Term over variables x1..xn."""
+    """Parse an s-expression into a Term over variables x1..xn.
+
+    A descent on an explicit stack of open '(' frames, so any nesting depth
+    parses without recursion.
+    """
     tokens = _tokenize(s)
     pos = 0
 
@@ -193,24 +197,7 @@ def parse_term(s: str, n: int) -> Term:
             raise TermSyntaxError(f"variable x{k} outside 1..{n}", at)
         return Var(k)
 
-    def term():
-        nonlocal pos
-        token, at = need("a term")
-        if token == ")":
-            raise TermSyntaxError("unexpected ')'", at)
-        if token != "(":
-            pos += 1
-            return atom_var(token, at)
-        pos += 1
-        head, head_at = need("an operator")
-        pos += 1
-        args = []
-        while True:
-            token, at = need("')'")
-            if token == ")":
-                pos += 1
-                break
-            args.append(term())
+    def node(head, head_at, args):
         if head in ("meet", "join"):
             if len(args) != 2:
                 raise TermSyntaxError(f"'{head}' takes two operands", head_at)
@@ -226,7 +213,34 @@ def parse_term(s: str, n: int) -> Term:
             )
         return Apply(spec, tuple(args))
 
-    result = term()
+    frames: list = []  # (head, head position, operands so far) per open '('
+    while True:
+        token, at = need("a term")
+        if token == ")":
+            raise TermSyntaxError("unexpected ')'", at)
+        pos += 1
+        if token == "(":
+            head, head_at = need("an operator")
+            pos += 1
+            frames.append((head, head_at, []))
+        elif frames:
+            frames[-1][2].append(atom_var(token, at))
+        else:
+            result = atom_var(token, at)
+            break
+        # close every frame whose operands are complete
+        while True:
+            token, at = need("')'")
+            if token != ")":
+                break  # the next operand of the innermost frame
+            pos += 1
+            result = node(*frames.pop())
+            if not frames:
+                break
+            frames[-1][2].append(result)
+        if not frames:
+            break
+
     if pos != len(tokens):
         raise TermSyntaxError("trailing input after term", tokens[pos][1])
     return result

@@ -1,16 +1,21 @@
+import itertools
+
 import pytest
 
 from latclone import (
+    boolean,
     chain,
     closure,
     enumerate_class,
     format_closure_report,
     format_verification_report,
+    from_covers,
     is_idempotent,
     is_monotone,
     join_fn,
     m_lattice,
     meet_fn,
+    n5,
     projection,
     reduced_generator_set,
     verify_generation,
@@ -21,6 +26,7 @@ from latclone.errors import (
     InvalidArgument,
     LatticeMismatch,
 )
+from latclone.functable import FnTable, compose_values
 
 
 def test_meet_join_closure_on_chain2(chain2):
@@ -146,3 +152,139 @@ def test_report_formats(chain2):
     inner = format_closure_report(report.closure_report)
     assert inner.startswith("reached=4 ")
     assert "budget_hit=false" in inner
+
+
+def _reference_tuples_with_max(d, k):
+    if d == 0:
+        yield (0,) * k
+        return
+    for mask in range(1, 1 << k):
+        free = [i for i in range(k) if not mask & (1 << i)]
+        for rest in itertools.product(range(d), repeat=len(free)):
+            t = [d] * k
+            for i, v in zip(free, rest):
+                t[i] = v
+            yield tuple(t)
+
+
+def _reference_closure(base, n, budget, until_keys=None):
+    """The closure one attempt at a time, one composition per base and
+    argument tuple, as before the gather kernel: the slow reference for
+    order, counters and the budget rule.  Returns the report's fields."""
+    lat = base[0].lattice
+    reached = [projection(lat, n, i) for i in range(1, n + 1)]
+    keys = {f.key() for f in reached}
+    vectors = [f.values for f in reached]
+    by_arity = {}
+    for f in base:
+        by_arity.setdefault(f.arity, []).append(f.lookup)
+    # per stream: [arity, lookups, level, pending tuples]
+    streams = [[k, by_arity[k], 0, None] for k in sorted(by_arity)]
+    missing = None if until_keys is None else set(until_keys) - keys
+    insertions = attempts = 0
+    budget_hit = False
+    done = missing is not None and not missing
+    while not budget_hit and not done:
+        progressed = False
+        for stream in streams:
+            if budget_hit or done:
+                break
+            served = 0
+            while served < 64:
+                if stream[2] >= len(vectors):
+                    break
+                if stream[3] is None:
+                    stream[3] = _reference_tuples_with_max(stream[2], stream[0])
+                idxs = next(stream[3], None)
+                if idxs is None:
+                    stream[2], stream[3] = stream[2] + 1, None
+                    continue
+                progressed = True
+                gvals = [vectors[i] for i in idxs]
+                for lookup in stream[1]:
+                    if attempts == budget:
+                        budget_hit = True
+                        break
+                    attempts += 1
+                    served += 1
+                    values = compose_values(lookup, gvals)
+                    if (n, values) not in keys:
+                        keys.add((n, values))
+                        reached.append(FnTable(lat, n, values))
+                        vectors.append(values)
+                        insertions += 1
+                        if missing is not None:
+                            missing.discard((n, values))
+                            if not missing:
+                                done = True
+                                break
+                if budget_hit or done:
+                    break
+        if not progressed and not done:
+            break
+    rounds = min(stream[2] for stream in streams)
+    return ([f.values for f in reached], rounds, insertions, attempts, budget_hit, keys)
+
+
+def _fields(report):
+    return ([f.values for f in report.reached], report.rounds, report.insertions,
+            report.attempts, report.budget_hit, report.keys)
+
+
+def _reduced_base(lat):
+    base = [meet_fn(lat), join_fn(lat)]
+    return base + [spec.table(lat) for spec in reduced_generator_set(lat)]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 50, 1000, 12345])
+def test_closure_matches_reference_on_chain4_cover(chain4, budget):
+    base = _reduced_base(chain4)
+    keys = {f.key() for f in enumerate_class(chain4, 2, "idempotent")}
+    got = closure(base, 2, budget, until_keys=keys)
+    assert _fields(got) == _reference_closure(base, 2, budget, keys)
+    assert got.budget_hit
+
+
+@pytest.mark.parametrize("budget", [5512, 5513, 10**6])
+def test_closure_matches_reference_when_target_is_covered(chain3, budget):
+    # the chain3 cover is complete at attempt 5513, inside a chunk of tuples
+    base = _reduced_base(chain3)
+    keys = {f.key() for f in enumerate_class(chain3, 2, "idempotent")}
+    got = closure(base, 2, budget, until_keys=keys)
+    assert _fields(got) == _reference_closure(base, 2, budget, keys)
+    assert got.attempts == min(budget, 5513)
+    assert got.budget_hit is (budget < 5513)
+
+
+@pytest.mark.parametrize("budget,hit", [(647, True), (648, False), (649, False)])
+def test_closure_budget_equal_to_attempt_count_is_not_hit(chain3, budget, hit):
+    base = [meet_fn(chain3), join_fn(chain3)]
+    got = closure(base, 3, budget)
+    assert _fields(got) == _reference_closure(base, 3, budget)
+    assert got.budget_hit is hit
+    assert got.attempts == min(budget, 648)
+
+
+def _meet_join(lat):
+    return [meet_fn(lat), join_fn(lat)]
+
+
+@pytest.mark.parametrize(
+    "make,n,budget",
+    [
+        # 8**3 = 512 table cells for the ternary iotas: two-byte index fields
+        (lambda: _reduced_base(boolean(3)), 2, 5000),
+        # one element, so every arity has a single cell
+        (lambda: _meet_join(from_covers(["0"], [])), 3, 10**6),
+        (lambda: _meet_join(m_lattice(2)), 3, 10**6),
+        (lambda: _meet_join(m_lattice(3)), 3, 10**6),
+        (lambda: _meet_join(n5()), 3, 10**6),
+        (lambda: [meet_fn(chain(2)), projection(chain(2), 1, 1)], 2, 10**6),
+        (lambda: _reduced_base(chain(3)), 2, 10**6),
+    ],
+    ids=["boolean3-reduced", "one-element", "m2-fixpoint", "m3-fixpoint", "n5-fixpoint",
+         "mixed-arities", "chain3-reduced"],
+)
+def test_closure_matches_reference(make, n, budget):
+    base = make()
+    assert _fields(closure(base, n, budget)) == _reference_closure(base, n, budget)

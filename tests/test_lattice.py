@@ -20,6 +20,7 @@ from latclone.errors import (
     EmptyTuple,
     InvalidArgument,
     InvalidSize,
+    LatcloneError,
     NotALattice,
     NotAPartialOrder,
     ParseError,
@@ -188,6 +189,31 @@ def test_labels_with_format_delimiters_are_refused(bad):
         from_covers(["0", bad, "1"], [("0", bad), (bad, "1")])
     with pytest.raises(ValueError):
         from_covers([bad, "1"], [(bad, "1")])
+
+
+@pytest.mark.parametrize("bad", ["a b", "a#b", "a,b", "a(b", "a->b", "", " "])
+def test_lattice_names_follow_the_label_grammar(bad):
+    with pytest.raises(InvalidArgument):
+        from_covers(["0", "1"], [("0", "1")], name=bad)
+
+
+def test_builtin_and_unusual_names_round_trip():
+    for lat in (chain(3), m_lattice(2), n5(), boolean(3)):
+        assert parse_lattice(format_lattice(lat)) == lat
+    lat = from_covers(["0", "1"], [("0", "1")], name="end>")
+    assert parse_lattice(format_lattice(lat)) == lat
+    f = from_callable(lat, 2, lat.join_all, name="sup")
+    assert parse_function(format_function(f), lat).values == f.values
+
+
+@pytest.mark.parametrize(
+    "labels,covers",
+    [(["0", "0"], []), ([], []), (["0", "1"], [("0", "2")])],
+    ids=["duplicate-labels", "no-labels", "unknown-cover-label"],
+)
+def test_from_covers_argument_errors_are_domain_errors(labels, covers):
+    with pytest.raises(LatcloneError):
+        from_covers(labels, covers)
 
 
 def test_files_round_trip_with_unusual_labels():

@@ -78,6 +78,36 @@ def test_deep_term_walks_without_recursion(chain3):
     assert simplify(t, chain3, 2) == Var(1)
 
 
+def test_deep_terms_parse_back_without_recursion(chain3):
+    left = Var(1)
+    for _ in range(3000):
+        left = Meet(left, Var(1))
+    right = iota_term(chain3, 0, 1, 2, 1, (Var(1), Var(1), Var(1)))
+    for i in range(3000):
+        right = (Join if i % 2 else Meet)(Var(1), right)
+    # compared as text: the dataclasses' own __eq__ and __hash__ recurse
+    for t in (left, right):
+        text = print_term(t)
+        assert print_term(parse_term(text, 1)) == text
+
+
+def test_simplify_alternating_deep_term(chain3):
+    t = Var(1)
+    for i in range(3000):
+        t = (Join if i % 2 else Meet)(t, Var(2))
+    s = simplify(t, chain3, 2)
+    assert to_table(s, chain3, 2).values == to_table(t, chain3, 2).values
+    assert print_term(s) == "x2"
+
+
+def test_simplify_shares_the_result_of_a_shared_node(chain3):
+    shared = Meet(Meet(Var(1), Var(2)), Var(1))
+    t = iota_term(chain3, 0, 1, 2, 1, (shared, shared, shared))
+    s = simplify(t, chain3, 2)
+    assert s.args[0] is s.args[1] is s.args[2]
+    assert print_term(s.args[0]) == "(meet x1 x2)"
+
+
 def test_to_table_matches_scalar_evaluation(chain3):
     # decompositions share their meet(x)/join(x) nodes; parsed copies of
     # the same terms share no node objects
