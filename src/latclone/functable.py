@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import getitem
 
 from .errors import (
     ArityMismatch,
@@ -21,7 +22,7 @@ from .errors import (
     LatticeMismatch,
     ParseError,
 )
-from .lattice import Lattice
+from .lattice import Lattice, check_label
 
 DEFAULT_CELL_BUDGET = 64
 DEFAULT_COUNT_BUDGET = 10**7
@@ -40,7 +41,7 @@ def tuple_index(m: int, xs) -> int:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FnTable:
     """Total n-ary function on a lattice, one value per input tuple."""
 
@@ -48,6 +49,7 @@ class FnTable:
     arity: int
     values: tuple[int, ...]
     name: str = field(default="f", compare=False)
+    _lookup: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.lattice.size
@@ -65,10 +67,14 @@ class FnTable:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(xs)}")
         return self.values[tuple_index(self.lattice.size, xs)]
 
-    @cached_property
+    @property
     def lookup(self):
         """Bound dict lookup from argument tuples to values (built once)."""
-        return dict(zip(self.tuples(), self.values)).__getitem__
+        lookup = self._lookup
+        if lookup is None:
+            lookup = dict(zip(self.tuples(), self.values)).__getitem__
+            object.__setattr__(self, "_lookup", lookup)
+        return lookup
 
     def key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical encoding for set membership and deduplication."""
@@ -78,11 +84,40 @@ class FnTable:
         return all_tuples(self.lattice.size, self.arity)
 
     def renamed(self, name: str) -> "FnTable":
+        check_label("function name", name, FUNCTION_NAME_RESERVED)
         return FnTable(self.lattice, self.arity, self.values, name=name)
+
+
+# The slot setters behind _member; the public constructor's checks are made
+# by enumerate_class for a whole class at once.
+_new_fn = object.__new__
+_set_lattice = FnTable.lattice.__set__
+_set_arity = FnTable.arity.__set__
+_set_values = FnTable.values.__set__
+_set_name = FnTable.name.__set__
+_set_lookup = FnTable._lookup.__set__
+
+
+def _member(lat: Lattice, n: int, values: tuple[int, ...]) -> FnTable:
+    """An FnTable named 'f' whose values are already known to be in range
+    and m**n long."""
+    f = _new_fn(FnTable)
+    _set_lattice(f, lat)
+    _set_arity(f, n)
+    _set_values(f, values)
+    _set_name(f, "f")
+    _set_lookup(f, None)
+    return f
+
+
+# Function names appear alone in a function file's header, so they may hold
+# the generator-spec delimiters (iota[0,1,2;1]) but not a comment sign.
+FUNCTION_NAME_RESERVED = "#"
 
 
 def from_callable(lat: Lattice, n: int, fn, name: str = "f") -> FnTable:
     """Tabulate a Python callable over all n-tuples."""
+    check_label("function name", name, FUNCTION_NAME_RESERVED)
     values = tuple(fn(xs) for xs in all_tuples(lat.size, n))
     return FnTable(lat, n, values, name=name)
 
@@ -169,14 +204,23 @@ def is_idempotent(f: FnTable) -> bool:
     return all(f((x,) * f.arity) == x for x in range(f.lattice.size))
 
 
+def cell_bounds(lat: Lattice, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """meet(x) and join(x) for every n-tuple x, in index order; built once
+    per lattice instance and arity."""
+    cache = lat.__dict__.setdefault("_cell_bounds_cache", {})
+    if n not in cache:
+        tuples = all_tuples(lat.size, n)
+        cache[n] = (tuple(map(lat.meet_all, tuples)), tuple(map(lat.join_all, tuples)))
+    return cache[n]
+
+
 def is_intermediate(f: FnTable) -> bool:
     """meet(x) <= f(x) <= join(x) for every input tuple."""
-    lat = f.lattice
-    leq = lat.leq_table
-    for xs, v in zip(f.tuples(), f.values):
-        if not (leq[lat.meet_all(xs)][v] and leq[v][lat.join_all(xs)]):
-            return False
-    return True
+    leq = f.lattice.leq_table
+    lows, highs = cell_bounds(f.lattice, f.arity)
+    return all(
+        leq[lo][v] and leq[v][hi] for lo, v, hi in zip(lows, f.values, highs)
+    )
 
 
 def pointwise_join(f: FnTable, g: FnTable) -> FnTable:
@@ -218,15 +262,24 @@ def iter_monotone_values(
     satisfying the boundary conditions, a pinned diagonal, or confinement of
     every value to [meet(x), join(x)].
 
-    A depth-first walk over the cells in lexicographic order, kept on an
-    explicit stack of one candidate iterator per cell.  A cell's candidates
-    are bounded below by the join of the values at its lower-cover
-    neighbours (one coordinate one cover step down).  Those cells come
-    earlier, because the index order is a linear extension of the product
-    order, and bounding by them suffices for the reason is_monotone checks
-    only cover steps.  The pins and intervals are folded into one table of
-    candidates per cell and lower bound.  Vectors come out in lexicographic
-    order.
+    A depth-first walk over rows, kept on an explicit stack of one candidate
+    iterator per row.  Row r is the m cells r*m .. r*m+m-1 that differ only
+    in the last coordinate.  A cell's candidates are bounded below by the
+    join of the values at its lower-cover neighbours (one coordinate one
+    cover step down); those cells come earlier, because the index order is a
+    linear extension of the product order, and bounding by them suffices for
+    the reason is_monotone checks only cover steps.  So a row's candidates
+    depend only on the rows one cover step down in the first n-1
+    coordinates, its lower rows, and only through their pointwise join, the
+    row's base: they are the vectors of a cell walk over the row's m cells
+    starting from the base.  Each row keeps a memo of those candidates keyed
+    by the base (on m3 at arity 2 the last row sees 39 304 tuples of lower
+    rows but 15 bases).  An entry is recorded once its walk is exhausted,
+    which the depth-first order guarantees before the row can be reached
+    again, so a walk cut short by its consumer never materialises more
+    candidates than it yielded.  The pins and intervals are folded into one
+    table of candidates per cell and lower bound.  Vectors come out in
+    lexicographic order.
     """
     m = lat.size
     cells = m**n
@@ -239,43 +292,96 @@ def iter_monotone_values(
     for x in range(m):
         for c in lat.upper_covers(x):
             lower_covers[c].append(x)
-    strides = [m ** (n - 1 - i) for i in range(n)]
     pins = {}
     if boundary:
         pins[0], pins[cells - 1] = bottom, lat.top
     if diagonal:
         pins.update((tuple_index(m, (x,) * n), x) for x in range(m))
-    neighbours, allowed = [], []
-    for k, xs in enumerate(all_tuples(m, n)):
-        neighbours.append(tuple(
-            k - (x - c) * stride
-            for x, stride in zip(xs, strides)
-            for c in lower_covers[x]
-        ))
+    if interval:
+        lows, highs = cell_bounds(lat, n)
+    allowed = []
+    for k in range(cells):
         cands = [pins[k]] if k in pins else range(m)
         if interval:
-            lo, hi = lat.meet_all(xs), lat.join_all(xs)
+            lo, hi = lows[k], highs[k]
             cands = [v for v in cands if leq[lo][v] and leq[v][hi]]
         allowed.append([tuple(v for v in cands if leq[lb][v]) for lb in range(m)])
+    row_strides = [m ** (n - 2 - i) for i in range(n - 1)]
+    lower_rows = [
+        tuple(
+            r - (x - c) * stride
+            for x, stride in zip(xs, row_strides)
+            for c in lower_covers[x]
+        )
+        for r, xs in enumerate(all_tuples(m, n - 1))
+    ]
+    rows = len(lower_rows)
+    bottom_row = (bottom,) * m
+    joins = {}  # pointwise joins of two rows; the same pairs recur often
 
-    assigned = [0] * cells
-    candidates = [None] * cells
-    candidates[0] = iter(allowed[0][bottom])
-    last, k = cells - 1, 0
-    while k >= 0:
-        v = next(candidates[k], None)
-        if v is None:
-            k -= 1
+    def row_walk(r, base):
+        """The cell walk over row r from base, range-checking each row it
+        yields and recording them all in memos[r][base] once it is
+        exhausted."""
+        allow = allowed[r * m:(r + 1) * m]
+        seen = []
+        assigned = [0] * m
+        candidates = [None] * m
+        candidates[0] = iter(allow[0][base[0]])
+        j = 0
+        while j >= 0:
+            v = next(candidates[j], None)
+            if v is None:
+                j -= 1
+                continue
+            assigned[j] = v
+            if j == m - 1:
+                row = tuple(assigned)
+                if min(row) < 0 or max(row) >= m:
+                    raise IndexOutOfRange("value outside element range")
+                seen.append(row)
+                yield row
+                continue
+            j += 1
+            lb = base[j]
+            for c in lower_covers[j]:
+                lb = join_t[lb][assigned[c]]
+            candidates[j] = iter(allow[j][lb])
+        memos[r][base] = seen
+
+    def row_candidates(r):
+        base = bottom_row
+        for q in lower_rows[r]:
+            pair = base, chosen[q]
+            base = joins.get(pair)
+            if base is None:
+                base = joins[pair] = tuple(
+                    map(getitem, map(join_t.__getitem__, pair[0]), pair[1])
+                )
+        seen = memos[r].get(base)
+        if seen is not None:
+            return iter(seen)
+        return row_walk(r, base)
+
+    memos = [{} for _ in range(rows)]
+    chosen = [None] * rows
+    prefixes = [()] * rows  # prefixes[r]: rows 0 .. r-1 concatenated
+    candidates = [None] * rows
+    candidates[0] = row_candidates(0)
+    last, r = rows - 1, 0
+    while r >= 0:
+        if r == last:
+            yield from map(prefixes[r].__add__, candidates[r])
+            r -= 1
             continue
-        assigned[k] = v
-        if k == last:
-            yield tuple(assigned)
+        row = next(candidates[r], None)
+        if row is None:
+            r -= 1
             continue
-        k += 1
-        lb = bottom
-        for j in neighbours[k]:
-            lb = join_t[lb][assigned[j]]
-        candidates[k] = iter(allowed[k][lb])
+        chosen[r] = row
+        r += 1
+        prefixes[r] = prefixes[r - 1] + row
+        candidates[r] = row_candidates(r)
 
 
 _CLASS_FLAGS = {
@@ -294,20 +400,25 @@ def enumerate_class(
 ) -> list[FnTable]:
     """All n-ary functions of the given class, in lexicographic order of
     value vectors.  For the idempotent class the diagonal is pinned and
-    candidates confined to [meet(x), join(x)]."""
+    candidates confined to [meet(x), join(x)].
+
+    Members skip the FnTable constructor's checks: the walk range-checks
+    every row it yields, every vector is the same whole number of rows
+    long, and the first vector's length is checked here."""
     if cls not in CLASSES:
         raise InvalidArgument(f"unknown class {cls!r}; expected one of {CLASSES}")
     if n < 1:
         raise ArityMismatch(f"arity must be >= 1, got {n}")
-    out: list[FnTable] = []
-    for values in iter_monotone_values(
+    vectors = iter_monotone_values(
         lat, n, cell_budget=cell_budget, **_CLASS_FLAGS[cls]
-    ):
-        if len(out) >= count_budget:
-            raise BudgetExceeded(
-                f"class size exceeds the count budget {count_budget}"
-            )
-        out.append(FnTable(lat, n, values))
+    )
+    out = [_member(lat, n, v) for v in itertools.islice(vectors, count_budget)]
+    if next(vectors, None) is not None:
+        raise BudgetExceeded(f"class size exceeds the count budget {count_budget}")
+    if out and len(out[0].values) != lat.size**n:
+        raise ArityMismatch(
+            f"value vector has {len(out[0].values)} entries, expected {lat.size**n}"
+        )
     return out
 
 

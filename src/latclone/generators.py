@@ -88,36 +88,49 @@ class GeneratorSpec:
             raise InvalidSpec(str(exc))
         return bound, target
 
+    def _formula(self, lat: Lattice):
+        """The generator's defining formula on element indices, as a function
+        of the argument tuple, with the labels resolved once."""
+        bound, target = self.resolve(lat)
+        leq, bottom, top = lat.leq_table, lat.bottom, lat.top
+        if self.kind in ("chi", "iota"):
+            join_all, meet_t = lat.join_all, lat.meet_table
+
+            def threshold(args):
+                jx = join_all(args)
+                if all(leq[x][a] for x, a in zip(args, bound)):
+                    return meet_t[target][jx]
+                return jx
+
+            return threshold
+        (a,) = bound
+        if self.kind == "mu":
+            return lambda args: bottom if leq[args[0]][a] and args[0] != top else top
+
+        def oplus(args):
+            x, y = args
+            if x == top and y == top:
+                return top
+            if x == bottom and y == bottom:
+                return bottom
+            return a
+
+        return oplus
+
     def apply(self, lat: Lattice, args) -> int:
         """Evaluate the generator's defining formula on element indices."""
         if len(args) != self.arity:
             raise InvalidSpec(
                 f"{self.format()} takes {self.arity} arguments, got {len(args)}"
             )
-        bound, target = self.resolve(lat)
-        if self.kind in ("chi", "iota"):
-            jx = lat.join_all(args)
-            if lat.leq_tuple(args, bound):
-                return lat.meet(target, jx)
-            return jx
-        if self.kind == "mu":
-            (a,), (x,) = (bound, args)
-            return lat.bottom if lat.leq(x, a) and x != lat.top else lat.top
-        # oplus
-        (a,) = bound
-        x, y = args
-        if x == lat.top and y == lat.top:
-            return lat.top
-        if x == lat.bottom and y == lat.bottom:
-            return lat.bottom
-        return a
+        return self._formula(lat)(args)
 
     def table(self, lat: Lattice) -> FnTable:
         """The generator's table on lat, built once per lattice instance."""
         cache = lat.__dict__.setdefault("_spec_table_cache", {})
         if self not in cache:
             cache[self] = from_callable(
-                lat, self.arity, lambda xs: self.apply(lat, xs), name=self.format()
+                lat, self.arity, self._formula(lat), name=self.format()
             )
         return cache[self]
 

@@ -141,12 +141,14 @@ def _linear_extension(m: int, succs: list[set[int]]) -> list[int]:
 LABEL_RESERVED = ",;[]()#"
 
 
-def _check_label(what: str, label: str) -> None:
-    if (not label or any(ch.isspace() or ch in LABEL_RESERVED for ch in label)
+def check_label(what: str, label: str, reserved: str = LABEL_RESERVED) -> None:
+    """Raise InvalidArgument unless label is nonempty and holds no
+    whitespace, no '->' and none of the reserved characters."""
+    if (not label or any(ch.isspace() or ch in reserved for ch in label)
             or "->" in label):
         raise InvalidArgument(
-            f"bad {what} {label!r}: labels are nonempty, without "
-            f"whitespace, '->' or any of {' '.join(LABEL_RESERVED)}"
+            f"bad {what} {label!r}: it must be nonempty, without "
+            f"whitespace, '->' or any of {' '.join(reserved)}"
         )
 
 
@@ -160,11 +162,11 @@ def from_covers(labels, covers, name: str = "lattice") -> Lattice:
     so that every file format parses back what it prints.
     """
     labels = list(labels)
-    _check_label("lattice name", name)
+    check_label("lattice name", name)
     if len(set(labels)) != len(labels):
         raise InvalidArgument("element labels must be distinct")
     for lab in labels:
-        _check_label("element label", lab)
+        check_label("element label", lab)
     m = len(labels)
     if m < 1:
         raise InvalidArgument("lattice needs at least one element")

@@ -7,6 +7,7 @@ import pytest
 
 from latclone import (
     FnTable,
+    boolean,
     chain,
     compose,
     enumerate_class,
@@ -30,16 +31,19 @@ from latclone.errors import (
     ArityMismatch,
     BudgetExceeded,
     IndexOutOfRange,
+    InvalidArgument,
     LatticeMismatch,
     ParseError,
 )
 from latclone.functable import (
     all_tuples,
+    cell_bounds,
     compose_values,
     from_callable,
     iter_monotone_values,
     tuple_index,
 )
+from latclone.lattice import from_covers
 
 
 def brute_force_binary(lat, predicate):
@@ -290,21 +294,47 @@ def test_cell_budget(chain3):
 def test_count_budget(chain2):
     with pytest.raises(BudgetExceeded):
         enumerate_class(chain2, 2, "monotone", count_budget=3)
+    # a budget equal to the class size (6) is not exceeded
+    assert len(enumerate_class(chain2, 2, "monotone", count_budget=6)) == 6
+    with pytest.raises(BudgetExceeded):
+        enumerate_class(chain2, 2, "monotone", count_budget=5)
 
 
-# n5 has 31 022 611 monotone and 30 507 204 aggregation binary functions, too
-# many to list twice; for those two the walks are compared on a prefix.
-REFERENCE_PREFIX = {("n5", "monotone"): 30000, ("n5", "aggregation"): 30000}
+# Classes too large to list twice are compared on a prefix: n5 has
+# 31 022 611 monotone and 30 507 204 aggregation binary functions, and
+# boolean3 at arity 2 and chain3 at arity 3 have more than 200 000 members
+# in every class but chain3's idempotent one (116 211).
+REFERENCE_PREFIX = {
+    ("n5", 2, "monotone"): 30000,
+    ("n5", 2, "aggregation"): 30000,
+    ("boolean3", 2, "monotone"): 20000,
+    ("boolean3", 2, "aggregation"): 20000,
+    ("boolean3", 2, "idempotent"): 20000,
+    ("chain3", 3, "monotone"): 20000,
+    ("chain3", 3, "aggregation"): 20000,
+    ("chain3", 3, "idempotent"): 20000,
+}
 
 
 @pytest.mark.parametrize("cls", ["monotone", "aggregation", "idempotent"])
 @pytest.mark.parametrize(
     "lat, n",
-    [(chain(3), 2), (m_lattice(2), 2), (n5(), 2), (chain(2), 4)],
+    [
+        (chain(3), 2),
+        (m_lattice(2), 2),
+        (n5(), 2),
+        (chain(2), 4),
+        (from_covers(["o"], [], name="one"), 3),
+        (boolean(3), 1),
+        (boolean(3), 2),
+        (chain(8), 1),
+        (chain(2), 5),
+        (chain(3), 3),
+    ],
     ids=lambda v: getattr(v, "name", str(v)),
 )
 def test_enumerator_matches_reference_backtracker(lat, n, cls):
-    limit = REFERENCE_PREFIX.get((lat.name, cls))
+    limit = REFERENCE_PREFIX.get((lat.name, n, cls))
     flags = REFERENCE_FLAGS[cls]
     if limit is None:
         fast = [f.values for f in enumerate_class(lat, n, cls)]
@@ -352,6 +382,61 @@ def test_many_cells_hit_count_budget_not_recursion_limit(chain2):
     assert time.process_time() - start < 1.0
 
 
+def test_count_budget_stops_a_huge_class_at_once():
+    # chain30 at arity 2 has about 10^17 monotone maps; no row's candidates
+    # may be listed in full before the count budget is reached
+    start = time.process_time()
+    with pytest.raises(BudgetExceeded, match="count budget 10"):
+        enumerate_class(chain(30), 2, "monotone", cell_budget=900, count_budget=10)
+    assert time.process_time() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "lat, n, classes",
+    [
+        (chain(4), 2, ("monotone", "aggregation", "idempotent")),
+        (m_lattice(2), 2, ("monotone", "aggregation", "idempotent")),
+        (chain(3), 3, ("idempotent",)),
+    ],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_class_members_equal_checked_tables(lat, n, classes):
+    middle = all_tuples(lat.size, n)[lat.size**n // 2]
+    for cls in classes:
+        for f in enumerate_class(lat, n, cls):
+            assert f == FnTable(lat, n, f.values)
+            assert f.lattice is lat and f.arity == n and f.name == "f"
+            assert f.lookup(middle) == f(middle)
+            assert f.key() == (n, f.values)
+
+
+def test_function_tables_are_immutable(chain3):
+    for f in (enumerate_class(chain3, 2, "idempotent")[0], meet_fn(chain3)):
+        with pytest.raises(AttributeError):
+            f.values = (0,) * 9
+        assert not hasattr(f, "__dict__")
+    f = meet_fn(chain3)
+    assert f.lookup is f.lookup  # built once
+    assert len({f, FnTable(chain3, 2, f.values, name="other")}) == 1
+
+
+def test_is_intermediate_matches_per_cell_bounds(chain3, diamond):
+    random.seed(7)
+    for lat in (chain3, diamond):
+        lows, highs = cell_bounds(lat, 2)
+        assert cell_bounds(lat, 2) is cell_bounds(lat, 2)
+        assert lows == tuple(lat.meet_all(xs) for xs in all_tuples(lat.size, 2))
+        assert highs == tuple(lat.join_all(xs) for xs in all_tuples(lat.size, 2))
+        leq = lat.leq_table
+        for _ in range(300):
+            f = FnTable(lat, 2, tuple(random.randrange(lat.size) for _ in range(lat.size**2)))
+            slow = all(
+                leq[lat.meet_all(xs)][v] and leq[v][lat.join_all(xs)]
+                for xs, v in zip(f.tuples(), f.values)
+            )
+            assert is_intermediate(f) == slow
+
+
 def test_iter_monotone_values_interval_equals_idempotent(diamond):
     # interval confinement alone pins the diagonal and the boundary
     via_interval = set(iter_monotone_values(diamond, 2, interval=True))
@@ -382,3 +467,19 @@ def test_function_file_errors(chain2):
         parse_function("function f arity 2 lattice other\nend\n", chain2)
     with pytest.raises(ParseError):
         parse_function(header + "0 zzz -> 0\n" + body + "end\n", chain2)
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x#y", "a->b", "tab\there", "#"])
+def test_function_names_that_do_not_read_back_are_refused(chain2, name):
+    with pytest.raises(InvalidArgument):
+        from_callable(chain2, 1, lambda xs: xs[0], name=name)
+    with pytest.raises(InvalidArgument):
+        projection(chain2, 1, 1).renamed(name)
+
+
+@pytest.mark.parametrize("name", ["iota[0,1,2;1]", "p1^2", "f(x)", "a-b", "g>"])
+def test_function_names_round_trip(chain3, name):
+    f = from_callable(chain3, 2, lambda xs: chain3.join_all(xs), name=name)
+    for g in (f, meet_fn(chain3).renamed(name)):
+        back = parse_function(format_function(g), chain3)
+        assert back.name == name and back.values == g.values

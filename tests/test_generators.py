@@ -27,14 +27,20 @@ from latclone import (
 from latclone.errors import (
     EmptyAgreementSet,
     InvalidSize,
+    InvalidSpec,
     NotAggregation,
     NotIdempotent,
     PreconditionViolated,
 )
 from latclone.functable import FnTable, all_tuples, from_callable, leq_pointwise
 from latclone.generators import (
+    GeneratorSpec,
+    chi_spec,
     count_generators_chain,
     count_generators_m,
+    iota_spec,
+    mu_spec,
+    oplus_spec,
     parse_spec,
 )
 
@@ -261,3 +267,47 @@ def test_spec_text_round_trip(pentagon):
     assert mu.kind == "mu" and mu.bound == ("a",)
     chi = parse_spec("chi[a,b;1]")
     assert chi.arity == 2 and chi.target == "1"
+
+
+def reference_apply(spec, lat, args):
+    """Slow reference: each generator's defining formula, resolving the
+    labels on every call."""
+    bound = tuple(lat.index(lab) for lab in spec.bound)
+    if spec.kind in ("chi", "iota"):
+        jx = lat.join_all(args)
+        if lat.leq_tuple(args, bound):
+            return lat.meet(lat.index(spec.target), jx)
+        return jx
+    (a,) = bound
+    if spec.kind == "mu":
+        (x,) = args
+        return lat.bottom if lat.leq(x, a) and x != lat.top else lat.top
+    x, y = args
+    if x == lat.top and y == lat.top:
+        return lat.top
+    if x == lat.bottom and y == lat.bottom:
+        return lat.bottom
+    return a
+
+
+@pytest.mark.parametrize("lat", [chain(2), chain(3), m_lattice(2)], ids=lambda l: l.name)
+def test_spec_tables_and_apply_match_reference(lat):
+    m = lat.size
+    specs = [mu_spec(lat, a) for a in range(m)] + [oplus_spec(lat, a) for a in range(m)]
+    specs += [chi_spec(lat, a, b) for a in all_tuples(m, 2) for b in range(m)]
+    specs += [iota_spec(lat, *p) for p in all_tuples(m, 4)]
+    for spec in specs:
+        table = spec.table(lat)
+        assert table.name == spec.format()
+        for xs, v in zip(table.tuples(), table.values):
+            assert v == reference_apply(spec, lat, xs) == spec.apply(lat, xs)
+        assert spec.apply(lat, list(table.tuples()[-1])) == table.values[-1]
+
+
+def test_apply_argument_errors(chain3):
+    with pytest.raises(InvalidSpec, match="takes 3 arguments"):
+        iota_spec(chain3, 0, 1, 2, 1).apply(chain3, (0, 1))
+    with pytest.raises(InvalidSpec, match="unknown element label"):
+        GeneratorSpec("iota", ("0", "1", "zz"), "1").apply(chain3, (0, 0, 0))
+    with pytest.raises(InvalidSpec, match="unknown element label"):
+        GeneratorSpec("mu", ("zz",)).table(chain3)
