@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
+import weakref
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -21,6 +22,7 @@ from .decompose import decompose_id_reduced
 from .errors import BudgetExceeded, InvalidArgument, LatticeMismatch
 from .functable import (
     FnTable,
+    all_tuples,
     enumerate_class,
     format_function,
     join_fn,
@@ -29,7 +31,7 @@ from .functable import (
 )
 from .generators import reduced_generator_set
 from .lattice import Lattice
-from .terms import to_table
+from .terms import _tabulate
 
 DEFAULT_CLOSURE_BUDGET = 10**6
 
@@ -244,7 +246,8 @@ def verify_generation(
 
     (A) the closure of {meet, join} plus the reduced iota generators equals
     the enumerated idempotent class as a set; (B) every enumerated member
-    tabulates back from its reduced decomposition term.
+    tabulates back from its reduced decomposition term.  Part B tabulates
+    each distinct term node once per run.
     """
     ids = enumerate_class(lat, n, "idempotent", cell_budget, count_budget)
     base = [meet_fn(lat), join_fn(lat)]
@@ -259,10 +262,16 @@ def verify_generation(
         )
     closure_pass = report.keys == id_keys
 
-    bad_decompositions = [
-        f for f in ids
-        if to_table(decompose_id_reduced(f), lat, n).values != f.values
-    ]
+    points, memo = all_tuples(lat.size, n), weakref.WeakKeyDictionary()
+    bad_decompositions = []
+    for f in ids:
+        # term holds the previous member's term until this one is built.  In
+        # lexicographic order that member shares the longest meet-chain
+        # prefix any earlier member shares with this one, so the prefix stays
+        # interned and memoised, and memory stays O(m**n).
+        term = decompose_id_reduced(f)
+        if _tabulate(term, lat, points, memo) != f.values:
+            bad_decompositions.append(f)
     counterexamples = list(bad_decompositions)
     if not closure_pass:
         counterexamples += [g for g in report.reached if g.key() not in id_keys]

@@ -32,23 +32,34 @@ def _decompose(f: FnTable, reduced: bool) -> Term:
     over coordinates i = 1..n.  The third iota threshold is join(a), or top
     when reduced, in which case each node is joined with the shared tail
     iota[(meet a, join a, 1); f(a)](mx, jx, jx).
+
+    The operand of anchor a depends only on (a, f(a)), so each is built
+    once per lattice, arity and form: slot k*m + v of the lattice's cache
+    holds the operand of the k-th tuple when f maps it to v.
     """
     _require_idempotent_aggregation(f)
-    lat, n = f.lattice, f.arity
+    lat, n, m = f.lattice, f.arity, f.lattice.size
+    cache = lat.__dict__.setdefault("_operand_cache", {})
+    slots = cache.get((n, reduced))
+    if slots is None:
+        slots = cache[n, reduced] = [None] * (m ** n * m)
     xs = [Var(i) for i in range(1, n + 1)]
     mx, jx = meet_of(xs), join_of(xs)
     operands = []
-    for a in f.tuples():
-        wa, va, fa = lat.meet_all(a), lat.join_all(a), f(a)
-        third = lat.top if reduced else va
-        inner = [
-            Apply(iota_spec(lat, wa, a[i], third, fa), (mx, xs[i], jx))
-            for i in range(n)
-        ]
-        if reduced:
-            tail = Apply(iota_spec(lat, wa, va, lat.top, fa), (mx, jx, jx))
-            inner = [Join(node, tail) for node in inner]
-        operands.append(join_of(inner))
+    for k, (a, fa) in enumerate(zip(f.tuples(), f.values)):
+        operand = slots[k * m + fa]
+        if operand is None:
+            wa, va = lat.meet_all(a), lat.join_all(a)
+            third = lat.top if reduced else va
+            inner = [
+                Apply(iota_spec(lat, wa, a[i], third, fa), (mx, xs[i], jx))
+                for i in range(n)
+            ]
+            if reduced:
+                tail = Apply(iota_spec(lat, wa, va, lat.top, fa), (mx, jx, jx))
+                inner = [Join(node, tail) for node in inner]
+            operand = slots[k * m + fa] = join_of(inner)
+        operands.append(operand)
     return meet_of(operands)
 
 
@@ -108,34 +119,33 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
 
     In a meet, an operand can go when another operand is pointwise below it;
     dually for joins.  Purely a size optimization, applied bottom-up by an
-    iterative post-order walk that simplifies each distinct node object
-    once: the children of a meet (join) node are the operands of its
-    meet (join) chain.  The memo maps id(node) to (node, simplified node),
-    holding the node as terms._tabulate does.
+    iterative post-order walk that simplifies each distinct node once: the
+    children of a meet (join) node are the operands of its meet (join)
+    chain.
     """
     points = all_tuples(lat.size, n)
     tabulated: dict = {}  # one tabulation memo for the pass
-    memo: dict[int, tuple[Term, Term]] = {}
+    memo: dict[Term, Term] = {}  # node -> its simplified node
     stack = [t]
     while stack:
         node = stack.pop()
-        if id(node) in memo:
+        if node in memo:
             continue
         if isinstance(node, Var):
-            memo[id(node)] = (node, node)
+            memo[node] = node
             continue
         kids = node.args if isinstance(node, Apply) else _flatten(node, type(node))
-        pending = [k for k in kids if id(k) not in memo]
+        pending = [k for k in kids if k not in memo]
         if pending:
             stack.append(node)
             stack += pending
             continue
-        ops = [memo[id(k)][1] for k in kids]
+        ops = [memo[k] for k in kids]
         if isinstance(node, Apply):
-            memo[id(node)] = (node, Apply(node.spec, tuple(ops)))
+            memo[node] = Apply(node.spec, ops)
         else:
-            memo[id(node)] = (node, _prune(ops, type(node), lat, points, tabulated))
-    return memo[id(t)][1]
+            memo[node] = _prune(ops, type(node), lat, points, tabulated)
+    return memo[t]
 
 
 def _prune(ops: list[Term], node_type, lat: Lattice, points, memo: dict) -> Term:

@@ -10,7 +10,7 @@ lattice) linearly extends the product order on L^n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from operator import getitem
 
@@ -87,6 +87,21 @@ class FnTable:
         check_label("function name", name, FUNCTION_NAME_RESERVED)
         return FnTable(self.lattice, self.arity, self.values, name=name)
 
+
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# slots=True rebuilds the class, and the frozen __setattr__/__delattr__ that
+# dataclass generated still name the class it replaced, so on Python 3.10 and
+# 3.11 they raise TypeError from super() for a name that is not a field.
+# These refuse every name; the constructor and the setters below bypass them.
+FnTable.__setattr__ = _refuse_setattr
+FnTable.__delattr__ = _refuse_delattr
 
 # The slot setters behind _member; the public constructor's checks are made
 # by enumerate_class for a whole class at once.

@@ -10,50 +10,106 @@ joins of more than two operands are built as left-nested binary nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 
 from .errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
-from .functable import FnTable, all_tuples, compose_values, join_fn, meet_fn
+from .functable import (
+    FnTable,
+    _refuse_delattr,
+    _refuse_setattr,
+    all_tuples,
+    compose_values,
+    join_fn,
+    meet_fn,
+)
 from .generators import GeneratorSpec, parse_spec
 from .lattice import Lattice
 
+# The unique table behind the hash-consed constructors: one live node per
+# structure.  Keys hold the ids of the children, which stay valid while the
+# entry lives because its node holds those children.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_set = object.__setattr__
+
 
 class Term:
+    """A term node.  Constructors are hash-consed: building a node equal in
+    structure to a live one returns that node, so equality and hashing go by
+    identity and never walk the term."""
+
+    __slots__ = ("__weakref__",)
+    __setattr__ = _refuse_setattr
+    __delattr__ = _refuse_delattr
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{print_term(self)}>"
+
+
+class Var(Term):
+    __slots__ = ("index",)  # 1-based
+
+    def __new__(cls, index: int):
+        if index < 1:
+            raise ArityMismatch(f"variable index must be >= 1, got {index}")
+        node = _interned.get((cls, index))
+        if node is None:
+            node = _interned[cls, index] = object.__new__(cls)
+            _set(node, "index", index)
+        return node
+
+    def __reduce__(self):
+        return type(self), (self.index,)
+
+
+class _Binary(Term):
+    __slots__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term):
+        key = (cls, id(left), id(right))
+        node = _interned.get(key)
+        if node is None:
+            node = _interned[key] = object.__new__(cls)
+            _set(node, "left", left)
+            _set(node, "right", right)
+        return node
+
+    def __reduce__(self):
+        return type(self), (self.left, self.right)
+
+
+class Meet(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
-    index: int  # 1-based
-
-    def __post_init__(self):
-        if self.index < 1:
-            raise ArityMismatch(f"variable index must be >= 1, got {self.index}")
+class Join(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Meet(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
-class Join(Term):
-    left: Term
-    right: Term
-
-
-@dataclass(frozen=True)
 class Apply(Term):
-    spec: GeneratorSpec
-    args: tuple[Term, ...]
+    __slots__ = ("spec", "args")
 
-    def __post_init__(self):
-        if len(self.args) != self.spec.arity:
+    def __new__(cls, spec: GeneratorSpec, args):
+        args = tuple(args)
+        if len(args) != spec.arity:
             raise InvalidSpec(
-                f"{self.spec.format()} takes {self.spec.arity} arguments, "
-                f"got {len(self.args)}"
+                f"{spec.format()} takes {spec.arity} arguments, got {len(args)}"
             )
+        key = (cls, spec, tuple(map(id, args)))
+        node = _interned.get(key)
+        if node is None:
+            node = _interned[key] = object.__new__(cls)
+            _set(node, "spec", spec)
+            _set(node, "args", args)
+        return node
+
+    def __reduce__(self):
+        return type(self), (self.spec, self.args)
 
 
 def meet_of(terms) -> Term:
@@ -86,33 +142,33 @@ def _children(node: Term) -> tuple[Term, ...]:
     return (node.left, node.right)
 
 
-def _tabulate(t: Term, lat: Lattice, points, memo: dict) -> tuple[int, ...]:
+def _tabulate(t: Term, lat: Lattice, points, memo) -> tuple[int, ...]:
     """Values of t at every point: an iterative post-order walk that composes
-    each distinct node object's outer table with its children's vectors once.
-    memo maps id(node) to (node, values); holding the node keeps its id from
-    being reused, so walks over the same points may share the memo.
+    each distinct node's outer table with its children's vectors once.
+    memo maps nodes to their vectors; walks over the same points may share
+    it, and a weakref.WeakKeyDictionary lets entries go with their nodes.
     """
     columns = tuple(zip(*points))
     lookups = {Meet: meet_fn(lat).lookup, Join: join_fn(lat).lookup}
     stack = [t]
     while stack:
         node = stack.pop()
-        if id(node) in memo:
+        if node in memo:
             continue
         if isinstance(node, Var):
             if node.index > len(columns):
                 raise ArityMismatch(f"variable x{node.index} outside arity {len(columns)}")
-            memo[id(node)] = (node, columns[node.index - 1])
+            memo[node] = columns[node.index - 1]
             continue
         kids = node.args if isinstance(node, Apply) else (node.left, node.right)
-        pending = [k for k in kids if id(k) not in memo]
+        pending = [k for k in kids if k not in memo]
         if pending:
             stack.append(node)
             stack.extend(pending)
             continue
         lookup = lookups.get(type(node)) or node.spec.table(lat).lookup
-        memo[id(node)] = (node, compose_values(lookup, [memo[id(k)][1] for k in kids]))
-    return memo[id(t)][1]
+        memo[node] = compose_values(lookup, [memo[k] for k in kids])
+    return memo[t]
 
 
 def evaluate(t: Term, lat: Lattice, xs) -> int:
@@ -126,11 +182,11 @@ def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
 
 
 def print_term(t: Term) -> str:
-    """The s-expression of t, built without recursion.  A node object met a
-    second time (decompositions share their meet(x), join(x) and tail
-    subterms) copies the text of its first rendering."""
+    """The s-expression of t, built without recursion.  A node met a second
+    time (decompositions share their meet(x), join(x) and tail subterms)
+    copies the text of its first rendering."""
     parts: list[str] = []
-    spans: dict[int, tuple[int, int]] = {}  # id(node) -> its slice of parts
+    spans: dict[Term, tuple[int, int]] = {}  # node -> its slice of parts
     stack: list = [t]  # terms, literal text and end marks, next item last
     while stack:
         item = stack.pop()
@@ -139,9 +195,9 @@ def print_term(t: Term) -> str:
             parts.append(item)
         elif kind is tuple:
             node, start = item
-            spans[id(node)] = (start, len(parts))
-        elif id(item) in spans:
-            start, stop = spans[id(item)]
+            spans[node] = (start, len(parts))
+        elif item in spans:
+            start, stop = spans[item]
             parts += parts[start:stop]
         elif kind is Var:
             parts.append(f"x{item.index}")
@@ -190,9 +246,13 @@ def parse_term(s: str, n: int) -> Term:
         return tokens[pos]
 
     def atom_var(token, at):
-        if not token.startswith("x") or not token[1:].isdigit():
+        digits = token[1:]
+        if not token.startswith("x") or not (digits.isascii() and digits.isdigit()):
             raise TermSyntaxError(f"expected variable or '(', got {token!r}", at)
-        k = int(token[1:])
+        try:
+            k = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise TermSyntaxError(f"variable {token} outside 1..{n}", at)
         if not 1 <= k <= n:
             raise TermSyntaxError(f"variable x{k} outside 1..{n}", at)
         return Var(k)

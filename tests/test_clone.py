@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -6,6 +7,7 @@ from latclone import (
     boolean,
     chain,
     closure,
+    decompose_id_reduced,
     enumerate_class,
     format_closure_report,
     format_verification_report,
@@ -18,8 +20,10 @@ from latclone import (
     n5,
     projection,
     reduced_generator_set,
+    to_table,
     verify_generation,
 )
+from latclone import clone
 from latclone.errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -27,6 +31,7 @@ from latclone.errors import (
     LatticeMismatch,
 )
 from latclone.functable import FnTable, compose_values
+from latclone.terms import _children, _interned
 
 
 def test_meet_join_closure_on_chain2(chain2):
@@ -138,6 +143,61 @@ def test_verify_generation_binary(lat, count):
     assert report.decomposition_pass
     assert report.ok
     assert not report.counterexamples
+
+
+@pytest.mark.parametrize(
+    "lat,n",
+    [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_part_b_memo_matches_fresh_tabulation(lat, n, monkeypatch):
+    """Every run-wide memoised tabulation in part B equals a fresh per-member
+    to_table of the same term, the slow path."""
+    results = []
+    run_wide = clone._tabulate
+
+    def checked(term, *args):
+        values = run_wide(term, *args)
+        results.append(values == to_table(term, lat, n).values)
+        return values
+
+    monkeypatch.setattr(clone, "_tabulate", checked)
+    report = verify_generation(lat, n)
+    assert report.ok
+    assert len(results) == report.id_count and all(results)
+
+
+def test_part_b_flags_a_wrong_term_served_from_the_memo(chain3, monkeypatch):
+    ids = enumerate_class(chain3, 2, "idempotent")
+    target = ids[-5]
+    # the previous member's term: tabulated and memoised just before
+    wrong = decompose_id_reduced(ids[-6])
+    real = clone.decompose_id_reduced
+    monkeypatch.setattr(
+        clone, "decompose_id_reduced",
+        lambda f: wrong if f.values == target.values else real(f),
+    )
+    report = verify_generation(chain3, 2)
+    assert report.closure_pass and not report.decomposition_pass
+    assert [f.values for f in report.counterexamples] == [target.values]
+
+
+def test_part_b_leaves_only_the_operand_cache_interned():
+    # M2 under labels no other test uses, so that its nodes are new
+    lat = from_covers(["lo", "p", "q", "hi"],
+                      [("lo", "p"), ("lo", "q"), ("p", "hi"), ("q", "hi")], name="m2")
+    gc.collect()
+    before = set(_interned.values())
+    verify_generation(lat, 2)
+    gc.collect()
+    new = [t for t in _interned.values() if t not in before]
+    kept, stack = set(), list(lat.__dict__["_operand_cache"][2, True])
+    while stack:
+        node = stack.pop()
+        if node is not None and node not in kept:
+            kept.add(node)
+            stack += _children(node)
+    assert new and set(new) <= kept
 
 
 def test_verify_generation_raises_on_budget(chain3):

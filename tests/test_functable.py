@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -418,6 +419,17 @@ def test_function_tables_are_immutable(chain3):
     f = meet_fn(chain3)
     assert f.lookup is f.lookup  # built once
     assert len({f, FnTable(chain3, 2, f.values, name="other")}) == 1
+
+
+def test_function_tables_refuse_every_assignment(chain3):
+    for f in (enumerate_class(chain3, 2, "idempotent")[0], meet_fn(chain3)):
+        for name in ("values", "name", "_lookup", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(f, name)
+        assert f.lookup((1, 2)) == f((1, 2))  # the lazy slot still fills
+    assert meet_fn(chain3).values == tuple(min(a, b) for a, b in all_tuples(3, 2))
 
 
 def test_is_intermediate_matches_per_cell_bounds(chain3, diamond):

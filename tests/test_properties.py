@@ -1,0 +1,126 @@
+"""Property tests: every file format parses back what it prints, and the
+term parser fails only with domain errors.  Derandomized, so a run is
+reproducible and its cost is fixed."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latclone import (
+    Apply,
+    FnTable,
+    Join,
+    Meet,
+    Var,
+    chain,
+    format_function,
+    m_lattice,
+    n5,
+    parse_function,
+    parse_term,
+)
+from latclone.errors import InvalidArgument, LatcloneError
+from latclone.generators import KINDS, chi_spec, iota_spec, mu_spec, oplus_spec
+from latclone.terms import format_term_file, parse_term_file
+
+LATTICES = [chain(2), chain(3), chain(4), m_lattice(1), m_lattice(2), m_lattice(3), n5()]
+
+SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+
+
+@st.composite
+def specs(draw, lat):
+    element = st.integers(0, lat.size - 1)
+    kind = draw(st.sampled_from(KINDS))
+    if kind == "iota":
+        return iota_spec(lat, *draw(st.tuples(element, element, element, element)))
+    if kind == "chi":
+        return chi_spec(lat, draw(st.lists(element, min_size=1, max_size=3)), draw(element))
+    return (mu_spec if kind == "mu" else oplus_spec)(lat, draw(element))
+
+
+def shapes(lat, n):
+    """Terms as nested tuples: ("x", i), (Meet|Join, left, right) or
+    (spec, args), built into nodes only by the test."""
+    def extend(children):
+        binary = st.tuples(st.sampled_from([Meet, Join]), children, children)
+        apply = specs(lat).flatmap(
+            lambda spec: st.tuples(st.just(spec), st.lists(
+                children, min_size=spec.arity, max_size=spec.arity).map(tuple))
+        )
+        return binary | apply
+
+    return st.recursive(st.tuples(st.just("x"), st.integers(1, n)), extend, max_leaves=16)
+
+
+def build(shape):
+    if shape[0] == "x":
+        return Var(shape[1])
+    if shape[0] in (Meet, Join):
+        return shape[0](build(shape[1]), build(shape[2]))
+    return Apply(shape[0], [build(arg) for arg in shape[1]])
+
+
+def text(shape):
+    """The s-expression of a shape, written without latclone."""
+    if shape[0] == "x":
+        return f"x{shape[1]}"
+    if shape[0] in (Meet, Join):
+        head = "meet" if shape[0] is Meet else "join"
+        return f"({head} {text(shape[1])} {text(shape[2])})"
+    return "(" + " ".join([shape[0].format(), *map(text, shape[1])]) + ")"
+
+
+@st.composite
+def lattice_shapes(draw):
+    lat = draw(st.sampled_from(LATTICES))
+    n = draw(st.integers(1, 3))
+    return lat, n, draw(shapes(lat, n))
+
+
+@SETTINGS
+@given(lattice_shapes())
+def test_term_files_parse_back_to_the_same_node(case):
+    lat, n, shape = case
+    t = build(shape)
+    file_text = format_term_file(t, n, lat.name)
+    assert file_text == f"term arity {n} lattice {lat.name}\n{text(shape)}\n"
+    arity, name, back = parse_term_file(file_text)
+    assert (arity, name) == (n, lat.name)
+    assert back is t and build(shape) is t
+
+
+@st.composite
+def function_tables(draw):
+    lat = draw(st.sampled_from(LATTICES))
+    n = draw(st.integers(1, 3 if lat.size <= 3 else 2))
+    values = draw(st.lists(st.integers(0, lat.size - 1),
+                           min_size=lat.size**n, max_size=lat.size**n))
+    return FnTable(lat, n, tuple(values)), draw(st.text(min_size=0, max_size=8))
+
+
+@SETTINGS
+@given(function_tables())
+def test_function_files_parse_back(case):
+    f, name = case
+    try:
+        f = f.renamed(name)
+    except InvalidArgument:
+        return  # a name that would not read back is refused up front
+    back = parse_function(format_function(f), f.lattice)
+    assert (back.lattice, back.arity, back.values, back.name) == (
+        f.lattice, f.arity, f.values, f.name)
+
+
+TOKENS = ["(", ")", " ", "\n", "meet", "join", "x1", "x2", "x0", "x9", "x", "x²",
+          "iota[0,1,2;1]", "iota[0;1]", "mu[0]", "oplus[a1]", "chi[0,1;1]", "chi[;]",
+          "bogus[1]", "[", "]"]
+
+
+@SETTINGS
+@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(TOKENS), max_size=24)
+                 .map("".join)), st.integers(1, 3))
+def test_parse_term_raises_only_domain_errors(source, n):
+    try:
+        parse_term(source, n)
+    except LatcloneError:
+        pass

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from latclone import (
@@ -85,10 +89,61 @@ def test_deep_terms_parse_back_without_recursion(chain3):
     right = iota_term(chain3, 0, 1, 2, 1, (Var(1), Var(1), Var(1)))
     for i in range(3000):
         right = (Join if i % 2 else Meet)(Var(1), right)
-    # compared as text: the dataclasses' own __eq__ and __hash__ recurse
     for t in (left, right):
-        text = print_term(t)
-        assert print_term(parse_term(text, 1)) == text
+        assert parse_term(print_term(t), 1) is t
+
+
+def test_separately_built_deep_terms_are_one_node():
+    t, u = Var(1), Var(1)
+    for _ in range(3000):
+        t = Meet(t, Var(1))
+    for _ in range(3000):
+        u = Meet(u, Var(1))
+    assert t is u
+    assert hash(t) == hash(u) and t == u
+    assert t in {u} and {t: 1}[u] == 1
+    assert repr(t) == "Meet<" + print_term(t) + ">"
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert t != Meet(u, Var(1)) and t != Join(u.left, Var(1))
+
+
+@pytest.mark.parametrize("make", ["chain3", "diamond"])
+def test_reduced_decompositions_parse_back_to_the_same_node(make, request):
+    lat = request.getfixturevalue(make)
+    for f in enumerate_class(lat, 2, "idempotent")[::5]:
+        t = decompose_id_reduced(f)
+        assert parse_term(print_term(t), 2) is t
+
+
+def test_copies_and_pickles_are_the_same_node(chain3):
+    f = enumerate_class(chain3, 2, "idempotent")[7]
+    shallow = iota_term(chain3, 0, 1, 2, 1, (Var(1), Meet(Var(1), Var(2)), Var(2)))
+    for t in (Var(2), shallow, decompose_id_reduced(f)):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t
+        assert copy.deepcopy([t, t]) == [t, t]
+        assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_term_nodes_refuse_assignment(chain3):
+    nodes = [Var(1), Meet(Var(1), Var(2)), Join(Var(1), Var(2)),
+             iota_term(chain3, 0, 1, 2, 1, (Var(1), Var(2), Var(1)))]
+    for t in nodes:
+        with pytest.raises(FrozenInstanceError):
+            t.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del t.extra
+    with pytest.raises(FrozenInstanceError):
+        nodes[0].index = 2
+    with pytest.raises(FrozenInstanceError):
+        nodes[1].left = Var(2)
+    with pytest.raises(FrozenInstanceError):
+        del nodes[3].args
+    assert nodes[0].index == 1 and nodes[1].left is Var(1)
+
+
+def test_var_index_checked():
+    with pytest.raises(ArityMismatch):
+        Var(0)
 
 
 def test_simplify_alternating_deep_term(chain3):
@@ -109,8 +164,7 @@ def test_simplify_shares_the_result_of_a_shared_node(chain3):
 
 
 def test_to_table_matches_scalar_evaluation(chain3):
-    # decompositions share their meet(x)/join(x) nodes; parsed copies of
-    # the same terms share no node objects
+    # decompositions share their meet(x)/join(x) nodes
     for f in enumerate_class(chain3, 2, "idempotent"):
         t = decompose_id_reduced(f)
         for u in (t, parse_term(print_term(t), 2)):
@@ -167,8 +221,8 @@ def test_parse_round_trip(chain3):
         Meet(Var(1), Var(2)),
         iota_term(chain3, 0, 1, 2, 1, (Var(1), Var(2), Join(Var(1), Var(2)))),
     )
-    assert parse_term(print_term(t), 2) == t
-    assert parse_term("  ( meet   x1\n x2 ) ", 2) == Meet(Var(1), Var(2))
+    assert parse_term(print_term(t), 2) is t
+    assert parse_term("  ( meet   x1\n x2 ) ", 2) is Meet(Var(1), Var(2))
 
 
 def test_parse_errors_report_position():
@@ -182,6 +236,9 @@ def test_parse_errors_report_position():
         parse_term("x1 x2", 2)
     with pytest.raises(TermSyntaxError):
         parse_term("x5", 2)
+    for text in ("x²", "(meet x1 x١)", "x" + "1" * 5000):
+        with pytest.raises(TermSyntaxError):
+            parse_term(text, 2)
 
 
 def test_size_and_depth(chain3):
