@@ -78,16 +78,6 @@ def cmd_decompose(args) -> int:
     lat = load_lattice(args.lattice)
     with open(args.fn_file, encoding="utf-8") as fh:
         f = functable.parse_function(fh.read(), lat)
-    for x in range(lat.size):
-        if f((x,) * f.arity) != x:
-            lab = lat.labels[x]
-            diag = ",".join([lab] * f.arity)
-            print(
-                f"NotIdempotent: f({diag}) = "
-                f"{lat.labels[f((x,) * f.arity)]} != {lab}",
-                file=sys.stderr,
-            )
-            return EXIT_DOMAIN
     build = decompose.decompose_id_reduced if args.reduced else decompose.decompose_id
     term = build(f)
     if args.simplify:

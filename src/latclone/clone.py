@@ -239,8 +239,6 @@ def verify_generation(
     lat: Lattice,
     n: int,
     budget: int = DEFAULT_CLOSURE_BUDGET,
-    cell_budget: int = 64,
-    count_budget: int = 10**7,
 ) -> VerificationReport:
     """Two independent confirmations that the reduced set generates Id^n.
 
@@ -249,7 +247,7 @@ def verify_generation(
     tabulates back from its reduced decomposition term.  Part B tabulates
     each distinct term node once per run.
     """
-    ids = enumerate_class(lat, n, "idempotent", cell_budget, count_budget)
+    ids = enumerate_class(lat, n, "idempotent")
     base = [meet_fn(lat), join_fn(lat)]
     base += [spec.table(lat) for spec in reduced_generator_set(lat)]
     id_keys = {f.key() for f in ids}

@@ -13,16 +13,11 @@ necessarily idempotent) aggregation function as a mu/oplus composite.
 
 from __future__ import annotations
 
-from .errors import NotAggregation, NotIdempotent, UnsupportedArity
-from .functable import FnTable, all_tuples, is_aggregation, is_idempotent
+from .errors import NotAggregation, UnsupportedArity
+from .functable import FnTable, _cells, all_tuples, check_idempotent_aggregation, is_aggregation
 from .generators import iota_spec, mu_spec, oplus_spec
 from .lattice import Lattice
-from .terms import Apply, Join, Meet, Term, Var, _tabulate, join_of, meet_of
-
-
-def _require_idempotent_aggregation(f: FnTable):
-    if not (is_idempotent(f) and is_aggregation(f)):
-        raise NotIdempotent("input must be an idempotent aggregation function")
+from .terms import Apply, Join, Meet, Term, Var, _post_order, _tabulate, join_of, meet_of
 
 
 def _decompose(f: FnTable, reduced: bool) -> Term:
@@ -37,8 +32,9 @@ def _decompose(f: FnTable, reduced: bool) -> Term:
     once per lattice, arity and form: slot k*m + v of the lattice's cache
     holds the operand of the k-th tuple when f maps it to v.
     """
-    _require_idempotent_aggregation(f)
+    check_idempotent_aggregation(f)
     lat, n, m = f.lattice, f.arity, f.lattice.size
+    cells = _cells(lat, n)
     cache = lat.__dict__.setdefault("_operand_cache", {})
     slots = cache.get((n, reduced))
     if slots is None:
@@ -49,7 +45,7 @@ def _decompose(f: FnTable, reduced: bool) -> Term:
     for k, (a, fa) in enumerate(zip(f.tuples(), f.values)):
         operand = slots[k * m + fa]
         if operand is None:
-            wa, va = lat.meet_all(a), lat.join_all(a)
+            wa, va = cells.lows[k], cells.highs[k]
             third = lat.top if reduced else va
             inner = [
                 Apply(iota_spec(lat, wa, a[i], third, fa), (mx, xs[i], jx))
@@ -102,8 +98,12 @@ def h_agg_term(f: FnTable, a) -> Term:
     return join_of([*mus, chain])
 
 
-def _flatten(t: Term, node_type) -> list[Term]:
-    """The operands of the node_type chain at t, left to right."""
+def _operands(t: Term):
+    """The children of t in simplify: the operands of the meet (join) chain
+    at a meet (join) node, left to right."""
+    node_type = type(t)
+    if node_type not in (Meet, Join):
+        return getattr(t, "args", ())  # an Apply's arguments; a Var has none
     out, stack = [], [t]
     while stack:
         node = stack.pop()
@@ -118,33 +118,19 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
     """Drop dominated operands from meet/join chains; preserves the table.
 
     In a meet, an operand can go when another operand is pointwise below it;
-    dually for joins.  Purely a size optimization, applied bottom-up by an
-    iterative post-order walk that simplifies each distinct node once: the
-    children of a meet (join) node are the operands of its meet (join)
-    chain.
+    dually for joins.  Purely a size optimization, applied bottom-up by a
+    post-order walk over _operands that simplifies each distinct node once.
     """
     points = all_tuples(lat.size, n)
     tabulated: dict = {}  # one tabulation memo for the pass
     memo: dict[Term, Term] = {}  # node -> its simplified node
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node in memo:
-            continue
+    for node, kids in _post_order(t, memo, _operands):
         if isinstance(node, Var):
             memo[node] = node
-            continue
-        kids = node.args if isinstance(node, Apply) else _flatten(node, type(node))
-        pending = [k for k in kids if k not in memo]
-        if pending:
-            stack.append(node)
-            stack += pending
-            continue
-        ops = [memo[k] for k in kids]
-        if isinstance(node, Apply):
-            memo[node] = Apply(node.spec, ops)
+        elif isinstance(node, Apply):
+            memo[node] = Apply(node.spec, [memo[k] for k in kids])
         else:
-            memo[node] = _prune(ops, type(node), lat, points, tabulated)
+            memo[node] = _prune([memo[k] for k in kids], type(node), lat, points, tabulated)
     return memo[t]
 
 

@@ -10,6 +10,7 @@ lattice) linearly extends the product order on L^n.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from operator import getitem
@@ -20,6 +21,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidArgument,
     LatticeMismatch,
+    NotIdempotent,
     ParseError,
 )
 from .lattice import Lattice, check_label
@@ -39,6 +41,34 @@ def tuple_index(m: int, xs) -> int:
     for x in xs:
         idx = idx * m + x
     return idx
+
+
+_Cells = namedtuple("_Cells", "below diagonal lows highs")
+
+
+def _cells(lat: Lattice, n: int) -> _Cells:
+    """The cell structure of L^n that the predicates, the enumerator and
+    decompose read, built once per lattice instance and arity.  below[k]
+    holds the cells one cover step below cell k in one coordinate,
+    diagonal[x] is the cell of (x, ..., x), and lows[k] and highs[k] are
+    the meet and the join of cell k's tuple.  Arity 0 has the empty tuple
+    alone, whose meet is top and join bottom; cell r*m + x of arity n
+    extends cell r of arity n-1 by x."""
+    if n == 0:
+        return _Cells(((),), (0,) * lat.size, (lat.top,), (lat.bottom,))
+    cache = lat.__dict__.setdefault("_cells_cache", {})
+    if n not in cache:
+        m, meet_t, join_t = lat.size, lat.meet_table, lat.join_table
+        rows = _cells(lat, n - 1)
+        lower = [[x for x in range(m) if c in lat.upper_covers(x)] for c in range(m)]
+        cache[n] = _Cells(
+            tuple((*(q * m + x for q in below), *(r * m + c for c in lower[x]))
+                  for r, below in enumerate(rows.below) for x in range(m)),
+            tuple(r * m + x for x, r in enumerate(rows.diagonal)),
+            tuple(meet_t[lo][x] for lo in rows.lows for x in range(m)),
+            tuple(join_t[hi][x] for hi in rows.highs for x in range(m)),
+        )
+    return cache[n]
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,26 +218,18 @@ def compose(f: FnTable, gs) -> FnTable:
 def is_monotone(f: FnTable) -> bool:
     """Monotonicity along single-coordinate cover steps; equivalent to the
     pairwise definition since every x <= y decomposes into such steps."""
-    lat, values = f.lattice, f.values
-    m, n = lat.size, f.arity
-    leq = lat.leq_table
-    strides = [m ** (n - 1 - i) for i in range(n)]
-    for k, xs in enumerate(f.tuples()):
-        fx = values[k]
-        for i in range(n):
-            stride = strides[i]
-            xi = xs[i]
-            for c in lat.upper_covers(xi):
-                if not leq[fx][values[k + (c - xi) * stride]]:
-                    return False
-    return True
+    leq, values = f.lattice.leq_table, f.values
+    return all(
+        leq[values[j]][v]
+        for v, below in zip(values, _cells(f.lattice, f.arity).below)
+        for j in below
+    )
 
 
 def is_boundary(f: FnTable) -> bool:
-    lat = f.lattice
-    bottoms = (lat.bottom,) * f.arity
-    tops = (lat.top,) * f.arity
-    return f(bottoms) == lat.bottom and f(tops) == lat.top
+    lat, values = f.lattice, f.values
+    diagonal = _cells(lat, f.arity).diagonal
+    return values[diagonal[lat.bottom]] == lat.bottom and values[diagonal[lat.top]] == lat.top
 
 
 def is_aggregation(f: FnTable) -> bool:
@@ -216,25 +238,28 @@ def is_aggregation(f: FnTable) -> bool:
 
 def is_idempotent(f: FnTable) -> bool:
     """f(x,...,x) = x on the whole diagonal."""
-    return all(f((x,) * f.arity) == x for x in range(f.lattice.size))
+    values = f.values
+    return all(values[k] == x for x, k in enumerate(_cells(f.lattice, f.arity).diagonal))
 
 
-def cell_bounds(lat: Lattice, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """meet(x) and join(x) for every n-tuple x, in index order; built once
-    per lattice instance and arity."""
-    cache = lat.__dict__.setdefault("_cell_bounds_cache", {})
-    if n not in cache:
-        tuples = all_tuples(lat.size, n)
-        cache[n] = (tuple(map(lat.meet_all, tuples)), tuple(map(lat.join_all, tuples)))
-    return cache[n]
+def check_idempotent_aggregation(f: FnTable):
+    """Raise NotIdempotent unless f is an idempotent aggregation function,
+    naming the first diagonal point f moves if there is one."""
+    labels, values = f.lattice.labels, f.values
+    for x, k in enumerate(_cells(f.lattice, f.arity).diagonal):
+        if values[k] != x:
+            point = ",".join([labels[x]] * f.arity)
+            raise NotIdempotent(f"f({point}) = {labels[values[k]]} != {labels[x]}")
+    if not is_monotone(f):  # idempotency implies the boundary conditions
+        raise NotIdempotent("input must be an idempotent aggregation function")
 
 
 def is_intermediate(f: FnTable) -> bool:
     """meet(x) <= f(x) <= join(x) for every input tuple."""
     leq = f.lattice.leq_table
-    lows, highs = cell_bounds(f.lattice, f.arity)
+    cells = _cells(f.lattice, f.arity)
     return all(
-        leq[lo][v] and leq[v][hi] for lo, v, hi in zip(lows, f.values, highs)
+        leq[lo][v] and leq[v][hi] for lo, v, hi in zip(cells.lows, f.values, cells.highs)
     )
 
 
@@ -303,33 +328,18 @@ def iter_monotone_values(
             f"{m}^{n} = {cells} cells exceeds the cell budget {cell_budget}"
         )
     leq, join_t, bottom = lat.leq_table, lat.join_table, lat.bottom
-    lower_covers: list[list[int]] = [[] for _ in range(m)]
-    for x in range(m):
-        for c in lat.upper_covers(x):
-            lower_covers[c].append(x)
-    pins = {}
-    if boundary:
-        pins[0], pins[cells - 1] = bottom, lat.top
-    if diagonal:
-        pins.update((tuple_index(m, (x,) * n), x) for x in range(m))
-    if interval:
-        lows, highs = cell_bounds(lat, n)
+    # a row is a cell of L^(n-1), and a cell of a row an element of L
+    lower_covers, lower_rows = _cells(lat, 1).below, _cells(lat, n - 1).below
+    record = _cells(lat, n)
+    pinned = range(m) if diagonal else (bottom, lat.top) if boundary else ()
+    pins = {record.diagonal[x]: x for x in pinned}
     allowed = []
     for k in range(cells):
         cands = [pins[k]] if k in pins else range(m)
         if interval:
-            lo, hi = lows[k], highs[k]
+            lo, hi = record.lows[k], record.highs[k]
             cands = [v for v in cands if leq[lo][v] and leq[v][hi]]
         allowed.append([tuple(v for v in cands if leq[lb][v]) for lb in range(m)])
-    row_strides = [m ** (n - 2 - i) for i in range(n - 1)]
-    lower_rows = [
-        tuple(
-            r - (x - c) * stride
-            for x, stride in zip(xs, row_strides)
-            for c in lower_covers[x]
-        )
-        for r, xs in enumerate(all_tuples(m, n - 1))
-    ]
     rows = len(lower_rows)
     bottom_row = (bottom,) * m
     joins = {}  # pointwise joins of two rows; the same pairs recur often

@@ -20,21 +20,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import itemgetter
 
 from .errors import (
+    ArityMismatch,
     EmptyAgreementSet,
     InvalidSize,
     InvalidSpec,
     NotAggregation,
-    NotIdempotent,
     PreconditionViolated,
 )
 from .functable import (
     FnTable,
+    _check_same_lattice,
+    check_idempotent_aggregation,
     from_callable,
     is_aggregation,
-    is_idempotent,
-    pointwise_join,
+    tuple_index,
 )
 from .lattice import Lattice
 
@@ -211,11 +213,19 @@ def h_majorant(pool, f: FnTable, a) -> FnTable:
     With pool a composition-closed class containing f, this is the largest
     class member taking the value f(a) at a.
     """
-    fa = f(a)
-    agreeing = [g for g in pool if g(a) == fa]
+    pool = list(pool)
+    _check_same_lattice(f, *pool)
+    if any(g.arity != f.arity for g in pool):
+        raise ArityMismatch(f"pool members must have the arity {f.arity} of f")
+    fa, k, join_t = f(a), tuple_index(f.lattice.size, a), f.lattice.join_table
+    agreeing = [g.values for g in pool if g.values[k] == fa]
     if not agreeing:
         raise EmptyAgreementSet(f"no pool member takes value {fa} at {a}")
-    return reduce(pointwise_join, agreeing)
+    # a cell's join over the members is the join of its distinct values
+    return FnTable(f.lattice, f.arity, tuple(
+        reduce(lambda x, y: join_t[x][y], set(map(itemgetter(c), agreeing)))
+        for c in range(len(f.values))
+    ))
 
 
 def h_id(f: FnTable, a) -> FnTable:
@@ -224,8 +234,7 @@ def h_id(f: FnTable, a) -> FnTable:
     Closed form: equals chi_{a, f(a)}; f must be an idempotent aggregation
     function.
     """
-    if not (is_idempotent(f) and is_aggregation(f)):
-        raise NotIdempotent("h_id needs an idempotent aggregation function")
+    check_idempotent_aggregation(f)
     return make_chi(f.lattice, a, f(a))
 
 

@@ -47,6 +47,18 @@ class Term:
     def __deepcopy__(self, memo):
         return self
 
+    def __reduce__(self):
+        """Pickle as the flat list of distinct nodes in post-order, each its
+        type, its variable index or spec and its children's positions, so
+        any depth pickles without recursion and shared nodes stay shared."""
+        position: dict[Term, int] = {}
+        entries = []
+        for node, kids in _post_order(self, position):
+            position[node] = len(entries)
+            head = node.index if type(node) is Var else getattr(node, "spec", None)
+            entries.append((type(node), head, [position[k] for k in kids]))
+        return _rebuild, (entries,)
+
     def __repr__(self):
         return f"{type(self).__name__}<{print_term(self)}>"
 
@@ -63,9 +75,6 @@ class Var(Term):
             _set(node, "index", index)
         return node
 
-    def __reduce__(self):
-        return type(self), (self.index,)
-
 
 class _Binary(Term):
     __slots__ = ("left", "right")
@@ -78,9 +87,6 @@ class _Binary(Term):
             _set(node, "left", left)
             _set(node, "right", right)
         return node
-
-    def __reduce__(self):
-        return type(self), (self.left, self.right)
 
 
 class Meet(_Binary):
@@ -108,9 +114,6 @@ class Apply(Term):
             _set(node, "args", args)
         return node
 
-    def __reduce__(self):
-        return type(self), (self.spec, self.args)
-
 
 def meet_of(terms) -> Term:
     """Left-nested meet of one or more terms."""
@@ -135,39 +138,56 @@ def join_of(terms) -> Term:
 
 
 def _children(node: Term) -> tuple[Term, ...]:
-    if isinstance(node, Var):
-        return ()
-    if isinstance(node, Apply):
-        return node.args
-    return (node.left, node.right)
+    kind = type(node)
+    return node.args if kind is Apply else () if kind is Var else (node.left, node.right)
 
 
-def _tabulate(t: Term, lat: Lattice, points, memo) -> tuple[int, ...]:
-    """Values of t at every point: an iterative post-order walk that composes
-    each distinct node's outer table with its children's vectors once.
-    memo maps nodes to their vectors; walks over the same points may share
-    it, and a weakref.WeakKeyDictionary lets entries go with their nodes.
-    """
-    columns = tuple(zip(*points))
-    lookups = {Meet: meet_fn(lat).lookup, Join: join_fn(lat).lookup}
+def _post_order(t: Term, done, children=_children):
+    """Yield (node, children(node)) for each node of t that is not in done,
+    once and after its children, from an explicit stack, so any depth
+    works.  The caller puts each node in done before taking the next."""
     stack = [t]
     while stack:
         node = stack.pop()
-        if node in memo:
+        if node in done:
             continue
+        kids = children(node)
+        pending = [k for k in kids if k not in done]
+        if pending:
+            stack.append(node)
+            stack += pending
+        else:
+            yield node, kids
+
+
+def _rebuild(entries: list[tuple]) -> Term:
+    """The term that Term.__reduce__ flattened into entries, built through
+    the interning constructors, so it is the live node of that structure
+    if there is one."""
+    nodes: list[Term] = []
+    for kind, head, kids in entries:
+        args = [nodes[i] for i in kids]
+        nodes.append(Var(head) if kind is Var else Apply(head, args) if kind is Apply
+                     else kind(*args))
+    return nodes[-1]
+
+
+def _tabulate(t: Term, lat: Lattice, points, memo) -> tuple[int, ...]:
+    """Values of t at every point: a post-order walk that composes each
+    distinct node's outer table with its children's vectors once.  memo
+    maps nodes to their vectors; walks over the same points may share it,
+    and a weakref.WeakKeyDictionary lets entries go with their nodes.
+    """
+    columns = tuple(zip(*points))
+    lookups = {Meet: meet_fn(lat).lookup, Join: join_fn(lat).lookup}
+    for node, kids in _post_order(t, memo):
         if isinstance(node, Var):
             if node.index > len(columns):
                 raise ArityMismatch(f"variable x{node.index} outside arity {len(columns)}")
             memo[node] = columns[node.index - 1]
-            continue
-        kids = node.args if isinstance(node, Apply) else (node.left, node.right)
-        pending = [k for k in kids if k not in memo]
-        if pending:
-            stack.append(node)
-            stack.extend(pending)
-            continue
-        lookup = lookups.get(type(node)) or node.spec.table(lat).lookup
-        memo[node] = compose_values(lookup, [memo[k] for k in kids])
+        else:
+            lookup = lookups.get(type(node)) or node.spec.table(lat).lookup
+            memo[node] = compose_values(lookup, [memo[k] for k in kids])
     return memo[t]
 
 

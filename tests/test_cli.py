@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +141,31 @@ def test_decompose_rejects_non_idempotent(capsys, tmp_path):
     code, out, err = run(capsys, ["decompose", "--lattice", "chain:3", str(path)])
     assert code == 2
     assert err.strip() == "NotIdempotent: f(0,0) = 2 != 0"
+
+
+def test_decompose_rejects_idempotent_non_monotone(capsys, tmp_path):
+    lat = chain(3)
+    # idempotent, but f(0,1) = 2 is above f(1,1) = 1
+    fn = from_callable(lat, 2, lambda xs: 2 if xs == (0, 1) else max(xs), name="g")
+    path = tmp_path / "bump.fn"
+    path.write_text(format_function(fn))
+    code, out, err = run(capsys, ["decompose", "--lattice", "chain:3", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "NotIdempotent: input must be an idempotent aggregation function"
+    ]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # importing numpy costs more start-up time than the command line allows
+    probe = "import sys, latclone.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+        timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_verify(capsys):

@@ -37,8 +37,8 @@ from latclone.errors import (
     ParseError,
 )
 from latclone.functable import (
+    _cells,
     all_tuples,
-    cell_bounds,
     compose_values,
     from_callable,
     iter_monotone_values,
@@ -195,21 +195,54 @@ def test_constant_functions(chain2):
     assert not is_boundary(near_or)
 
 
+PREDICATE_CASES = [
+    (chain(3), 2),
+    (m_lattice(2), 2),
+    (chain(4), 1),
+    (n5(), 1),
+    (n5(), 2),
+    (m_lattice(3), 2),
+    (chain(3), 3),
+    (from_covers(["o"], [], name="one"), 2),
+]
+
+
 def test_monotone_matches_pairwise_definition():
+    """All four cell predicates against their definitions, on random tables
+    and on the first monotone and idempotent ones, which they accept."""
     random.seed(20240817)
-    for lat in (chain(3), m_lattice(2)):
+    for lat, n in PREDICATE_CASES:
         m = lat.size
         leq = lat.leq_table
-        for _ in range(200):
-            f = FnTable(lat, 2, tuple(random.randrange(m) for _ in range(m * m)))
-            tuples = f.tuples()
-            brute = all(
-                leq[f.values[j]][f.values[k]]
-                for j, x in enumerate(tuples)
-                for k, y in enumerate(tuples)
+        tuples = all_tuples(m, n)
+        diagonal = [(x,) * n for x in range(m)]
+        samples = [
+            *itertools.islice(iter_monotone_values(lat, n), 20),
+            *itertools.islice(iter_monotone_values(lat, n, **REFERENCE_FLAGS["idempotent"]), 20),
+            *(tuple(random.randrange(m) for _ in tuples) for _ in range(200)),
+        ]
+        for values in samples:
+            f = FnTable(lat, n, values)
+            at = dict(zip(tuples, values))
+            monotone = all(
+                leq[at[x]][at[y]]
+                for x in tuples
+                for y in tuples
                 if all(leq[a][b] for a, b in zip(x, y))
             )
-            assert is_monotone(f) == brute
+            idempotent = all(at[xs] == xs[0] for xs in diagonal)
+            boundary = (at[diagonal[lat.bottom]] == lat.bottom
+                        and at[diagonal[lat.top]] == lat.top)
+            # above every lower bound of x and below every upper bound of x
+            intermediate = all(
+                all(leq[z][at[xs]] for z in range(m) if all(leq[z][a] for a in xs))
+                and all(leq[at[xs]][z] for z in range(m) if all(leq[a][z] for a in xs))
+                for xs in tuples
+            )
+            assert is_monotone(f) == monotone
+            assert is_idempotent(f) == idempotent
+            assert is_boundary(f) == boundary
+            assert is_intermediate(f) == intermediate
 
 
 def test_pointwise_operations(chain2, chain3):
@@ -435,8 +468,8 @@ def test_function_tables_refuse_every_assignment(chain3):
 def test_is_intermediate_matches_per_cell_bounds(chain3, diamond):
     random.seed(7)
     for lat in (chain3, diamond):
-        lows, highs = cell_bounds(lat, 2)
-        assert cell_bounds(lat, 2) is cell_bounds(lat, 2)
+        lows, highs = _cells(lat, 2).lows, _cells(lat, 2).highs
+        assert _cells(lat, 2) is _cells(lat, 2)  # built once
         assert lows == tuple(lat.meet_all(xs) for xs in all_tuples(lat.size, 2))
         assert highs == tuple(lat.join_all(xs) for xs in all_tuples(lat.size, 2))
         leq = lat.leq_table

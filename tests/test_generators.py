@@ -25,9 +25,11 @@ from latclone import (
     reduced_generator_set,
 )
 from latclone.errors import (
+    ArityMismatch,
     EmptyAgreementSet,
     InvalidSize,
     InvalidSpec,
+    LatticeMismatch,
     NotAggregation,
     NotIdempotent,
     PreconditionViolated,
@@ -140,6 +142,15 @@ def test_h_majorant_empty_agreement(chain2):
     outside = FnTable(chain2, 2, (0, 0, 0, 1))  # meet; disagrees at (0,1)
     with pytest.raises(EmptyAgreementSet):
         h_majorant(pool, outside, (0, 1))
+
+
+def test_h_majorant_rejects_a_pool_member_of_another_shape(chain2, chain3):
+    f = meet_fn(chain3)
+    pool = [f, join_fn(chain3)]
+    with pytest.raises(ArityMismatch):
+        h_majorant(pool + [projection(chain3, 3, 1)], f, (0, 1))
+    with pytest.raises(LatticeMismatch):
+        h_majorant(pool + [join_fn(chain2)], f, (0, 1))
 
 
 def test_recovery_from_majorants(chain3):

@@ -104,6 +104,7 @@ def test_separately_built_deep_terms_are_one_node():
     assert t in {u} and {t: 1}[u] == 1
     assert repr(t) == "Meet<" + print_term(t) + ">"
     assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
     assert t != Meet(u, Var(1)) and t != Join(u.left, Var(1))
 
 
