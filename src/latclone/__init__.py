@@ -10,6 +10,7 @@ and generator counting for the chain and M-family extremes.
 from .clone import (
     ClosureReport,
     VerificationReport,
+    certify,
     closure,
     format_closure_report,
     format_verification_report,

@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="verify the reduced set generates Id^n")
     p_ver.add_argument("--lattice", required=True)
     p_ver.add_argument("--arity", type=int, required=True)
-    p_ver.add_argument("--budget", type=int, default=clone.DEFAULT_CLOSURE_BUDGET)
+    p_ver.add_argument("--budget", type=int, default=clone.DEFAULT_CLOSURE_BUDGET,
+                       help="bound on the certificate's generator applications")
     p_ver.add_argument("--out")
     p_ver.set_defaults(func=cmd_verify)
 

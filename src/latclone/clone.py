@@ -1,4 +1,4 @@
-"""Bounded composition closure and generation checks.
+"""Bounded composition closure, the majorant certificate and generation checks.
 
 The closure starts from the n-ary projections and repeatedly composes the
 base functions with every tuple of already-reached n-ary functions, using
@@ -6,6 +6,10 @@ the usual semi-naive frontier: each round only tries argument tuples that
 contain at least one function discovered in the previous round.  The budget
 counts attempted compositions, so a run with a high deduplication hit-rate
 still terminates promptly.
+
+The certificate shows given functions to lie in the clone without searching
+it: each is the meet, over the cells, of joins of a small set of clone
+members built in one generator level.
 """
 
 from __future__ import annotations
@@ -16,13 +20,16 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, getitem, itemgetter
 
 from .decompose import decompose_id_reduced
-from .errors import BudgetExceeded, InvalidArgument, LatticeMismatch
+from .errors import ArityMismatch, BudgetExceeded, InvalidArgument, LatticeMismatch
 from .functable import (
     FnTable,
+    _check_same_lattice,
+    _packer,
     all_tuples,
+    check_idempotent_aggregation,
     enumerate_class,
     format_function,
     join_fn,
@@ -38,6 +45,9 @@ DEFAULT_CLOSURE_BUDGET = 10**6
 
 @dataclass
 class ClosureReport:
+    """What closure reached, or which members certify showed to lie in the
+    clone; certify's fields are described there."""
+
     reached: list[FnTable]
     rounds: int
     insertions: int
@@ -66,6 +76,32 @@ def _field_format(m: int, k: int) -> str:
         if m**k <= 1 << 8 * array(code).itemsize:
             return code
     return "Q"
+
+
+def _gather_kernel(m: int, cells: int, k: int, packed: list):
+    """(pack, gather) for composing tables of arity at most k with value
+    vectors of the given number of cells.  pack(values) is the int with one
+    fixed-width field per cell that gather reads from the list packed;
+    gather(idxs) is a getter of the composite's values, at every cell, from
+    a base table whose arguments are the vectors packed[i] for i in idxs."""
+    order, fmt = sys.byteorder, _field_format(m, k)
+    nbytes = cells * array(fmt).itemsize
+
+    def pack(values) -> int:
+        return int.from_bytes(array(fmt, values).tobytes(), order)
+
+    def gather(idxs):
+        x = 0
+        for i in idxs:
+            x = x * m + packed[i]
+        cell_idx = x.to_bytes(nbytes, order)
+        if fmt != "B":  # bytes already read as one-byte ints
+            cell_idx = memoryview(cell_idx).cast(fmt)
+        if cells == 1:  # itemgetter of one item returns it bare
+            return itemgetter(slice(cell_idx[0], cell_idx[0] + 1))
+        return itemgetter(*cell_idx)
+
+    return pack, gather
 
 
 class _Stream:
@@ -136,27 +172,9 @@ def closure(
         by_arity.setdefault(f.arity, []).append(f.values)
     streams = [_Stream(k, by_arity[k]) for k in sorted(by_arity)]
 
-    m, cells, order = lat.size, lat.size**n, sys.byteorder
-    fmt = _field_format(m, max(by_arity))
-    nbytes = cells * array(fmt).itemsize
-
-    def pack(values) -> int:
-        return int.from_bytes(array(fmt, values).tobytes(), order)
-
-    def gather(idxs):
-        """A getter of the composite's values, at every cell, from a base
-        table whose arguments are the reached functions idxs."""
-        x = 0
-        for i in idxs:
-            x = x * m + packed[i]
-        cell_idx = x.to_bytes(nbytes, order)
-        if fmt != "B":  # bytes already read as one-byte ints
-            cell_idx = memoryview(cell_idx).cast(fmt)
-        if cells == 1:  # itemgetter of one item returns it bare
-            return itemgetter(slice(cell_idx[0], cell_idx[0] + 1))
-        return itemgetter(*cell_idx)
-
-    packed = [pack(f.values) for f in reached]
+    packed: list[int] = []
+    pack, gather = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
+    packed += [pack(f.values) for f in reached]
     missing = None if until_keys is None else set(until_keys) - {(n, v) for v in seen}
     insertions = attempts = 0
     budget_hit = False
@@ -220,6 +238,162 @@ def closure(
     )
 
 
+def _lattice_polynomials(lat: Lattice, n: int, has_meet: bool, has_join: bool):
+    """Value vectors of the closure of the n-ary projections under the
+    pointwise meet and join, as far as has_meet and has_join admit them.
+    Both are commutative and idempotent, so each function is combined with
+    every earlier one once, when it comes up; found grows while it is
+    walked.  A combination is one big-int and of packed masks, and only a
+    new result is unpacked."""
+    cells = lat.size**n
+    ops = [(_packer(lat, kind), [], set())
+           for kind, kept in (("down", has_meet), ("up", has_join)) if kept]
+    found = []
+
+    def add(values):
+        found.append(values)
+        for masks, codes, seen in ops:
+            code = masks.pack(values)
+            codes.append(code)
+            seen.add(code)
+
+    for i in range(1, n + 1):
+        add(projection(lat, n, i).values)
+    for i, _ in enumerate(found):
+        for masks, codes, seen in ops:
+            for code in sorted(set(map(codes[i].__and__, codes[:i])) - seen):
+                add(masks.unpack(code, cells))
+    return found
+
+
+def _generator_level(gens, polys, lat: Lattice, n: int) -> set:
+    """The value vectors of every generator applied to every tuple of its
+    arity over polys."""
+    by_arity: dict[int, list] = {}
+    for g in gens:
+        by_arity.setdefault(g.arity, []).append(g.values)
+    packed: list[int] = []
+    pack, gather = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
+    packed += map(pack, polys)
+    out = set()
+    for k, tables in by_arity.items():
+        for idxs in itertools.product(range(len(polys)), repeat=k):
+            out.update(map(gather(idxs), tables))
+    return out
+
+
+def _majorants(lat: Lattice, fns: set, has_join: bool) -> list[list[int]]:
+    """upper[c][v]: the packed pointwise join of {g in fns : g(c) <= v}, or
+    0 when that set is empty or, without the join among the base
+    operations, when its join is not itself in fns.  A packed 0 is below
+    every packed function, so it certifies nothing.  The join at cell x is
+    read off the distinct pairs (g(c), g(x))."""
+    m, leq, join_t = lat.size, lat.leq_table, lat.join_table
+    pack = _packer(lat, "down").pack
+    above = [[v for v in range(m) if leq[a][v]] for a in range(m)]
+    columns = list(zip(*fns))
+    upper = []
+    for col in columns:
+        rows = [[None] * len(columns) for _ in range(m)]  # None: nothing joined yet
+        for x, other in enumerate(columns):
+            for a, b in set(zip(col, other)):
+                for v in above[a]:
+                    acc = rows[v][x]
+                    rows[v][x] = b if acc is None else join_t[acc][b]
+        upper.append([
+            pack(row) if row[0] is not None and (has_join or tuple(row) in fns) else 0
+            for row in rows
+        ])
+    return upper
+
+
+def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureReport:
+    """Show members to lie in the clone that base generates, by the
+    majorant argument instead of a search of the clone.
+
+    P is the closure of the n-ary projections under those of the pointwise
+    meet and join that base holds.  For a set G of clone members, H[c][v]
+    is the pointwise join of {g in G : g(c) <= v}.  A member f is certified
+    when H[c][f(c)] >= f at every cell c: f is then the meet over c of the
+    H[c][f(c)], each a join of clone members.  An empty set certifies
+    nothing; without the join in base, H[c][v] counts only when it is
+    itself in G, and without the meet, f must also equal one H[c][f(c)].
+
+    G is P first.  If a member is left, G gains one generator level: every
+    other base function applied to every tuple of its arity over P.  budget
+    bounds those applications, and BudgetExceeded is raised before any is
+    made when the level needs more.  Each value is packed as its down-set
+    mask (x <= y iff down(x) is a subset of down(y)), one field per cell,
+    so each test H >= f is one big-int and.
+
+    Every base function must be an idempotent aggregation function
+    (NotIdempotent otherwise), so the clone lies inside the idempotent
+    class.  A member left uncertified is not shown to lie in the clone,
+    which does not prove it lies outside.  The report's reached and keys
+    are the certified members, rounds the generator levels used (0 or 1),
+    attempts the generator applications and insertions the number of
+    distinct functions in G.
+    """
+    base, members = list(base), list(members)
+    if budget < 1:
+        raise InvalidArgument(f"budget must be >= 1, got {budget}")
+    if not base or not members:
+        raise InvalidArgument("certify needs a base function and a member")
+    lat, n = members[0].lattice, members[0].arity
+    _check_same_lattice(*members, *base)
+    if set(map(attrgetter("arity"), members)) != {n}:
+        raise ArityMismatch("members must share one arity")
+    for g in base:
+        check_idempotent_aggregation(g)
+
+    start = time.monotonic()
+    meet_key, join_key = meet_fn(lat).key(), join_fn(lat).key()
+    base_keys = {g.key() for g in base}
+    has_meet, has_join = meet_key in base_keys, join_key in base_keys
+    gens = [g for g in base if g.key() not in (meet_key, join_key)]
+    polys = _lattice_polynomials(lat, n, has_meet, has_join)
+    pack = _packer(lat, "down").pack
+    packed = [pack(f.values) for f in members]
+
+    def uncertified(indices, fns) -> list[int]:
+        upper = _majorants(lat, fns, has_join)
+        outside = [[~h for h in row] for row in upper]  # pf & ~h: f's excess over h
+
+        def fails(i):
+            pf, values = packed[i], members[i].values
+            if any(map(pf.__and__, map(getitem, outside, values))):
+                return True
+            return not has_meet and pf not in map(getitem, upper, values)
+
+        return [i for i in indices if fails(i)]
+
+    fns = set(polys)
+    left = uncertified(range(len(members)), fns)
+    rounds = attempts = 0
+    if left and gens:
+        attempts = sum(len(polys) ** g.arity for g in gens)
+        if attempts > budget:
+            raise BudgetExceeded(
+                f"the generator level needs {attempts} applications, "
+                f"over the budget {budget}"
+            )
+        fns |= _generator_level(gens, polys, lat, n)
+        rounds = 1
+        left = uncertified(left, fns)
+
+    missed = set(left)
+    reached = [f for i, f in enumerate(members) if i not in missed]
+    return ClosureReport(
+        reached=reached,
+        rounds=rounds,
+        insertions=len(fns),
+        attempts=attempts,
+        budget_hit=False,
+        elapsed=time.monotonic() - start,
+        keys={(n, f.values) for f in reached},
+    )
+
+
 @dataclass
 class VerificationReport:
     lattice_name: str
@@ -242,23 +416,21 @@ def verify_generation(
 ) -> VerificationReport:
     """Two independent confirmations that the reduced set generates Id^n.
 
-    (A) the closure of {meet, join} plus the reduced iota generators equals
-    the enumerated idempotent class as a set; (B) every enumerated member
+    (A) certify, by the majorant argument, every enumerated member as an
+    element of the clone of {meet, join} plus the reduced iota generators;
+    budget bounds the certificate's generator applications.  certify checks
+    that every base function is an idempotent aggregation function, so the
+    clone lies inside the class, and A passes when every member is
+    certified.  A member left uncertified is reported as a counterexample:
+    it is not shown to lie in the clone.  (B) every enumerated member
     tabulates back from its reduced decomposition term.  Part B tabulates
     each distinct term node once per run.
     """
     ids = enumerate_class(lat, n, "idempotent")
     base = [meet_fn(lat), join_fn(lat)]
     base += [spec.table(lat) for spec in reduced_generator_set(lat)]
-    id_keys = {f.key() for f in ids}
-    # every base function is idempotent, so reached stays inside the
-    # idempotent class; covering it proves set equality with the closure
-    report = closure(base, n, budget, until_keys=id_keys)
-    if report.budget_hit:
-        raise BudgetExceeded(
-            f"closure budget {budget} exhausted after {report.rounds} rounds"
-        )
-    closure_pass = report.keys == id_keys
+    report = certify(base, ids, budget)
+    closure_pass = len(report.reached) == len(ids)
 
     points, memo = all_tuples(lat.size, n), weakref.WeakKeyDictionary()
     bad_decompositions = []
@@ -272,7 +444,7 @@ def verify_generation(
             bad_decompositions.append(f)
     counterexamples = list(bad_decompositions)
     if not closure_pass:
-        counterexamples += [g for g in report.reached if g.key() not in id_keys]
+        counterexamples += [f for f in ids if f.key() not in report.keys]
 
     return VerificationReport(
         lattice_name=lat.name,

@@ -43,32 +43,93 @@ def tuple_index(m: int, xs) -> int:
     return idx
 
 
-_Cells = namedtuple("_Cells", "below diagonal lows highs")
+_Cells = namedtuple("_Cells", "below diagonal lows highs allowed")
+
+
+class _Masks:
+    """Packs a value vector into an int with one fixed-width field per cell,
+    the field of a cell with value v holding masks[v]; unpack reads such
+    an int back when every field holds one of the masks."""
+
+    def __init__(self, masks):
+        width = (len(masks) + 7) // 8
+        self._fields = [mk.to_bytes(width, "little") for mk in masks]
+        # one-byte fields: bytes(values).translate maps every cell in C
+        self._table = bytes(masks).ljust(256, b"\0") if width == 1 else None
+        self._element = {mk: x for x, mk in enumerate(masks)}
+        self._width = 8 * width
+
+    def pack(self, values) -> int:
+        if self._table is not None:
+            return int.from_bytes(bytes(values).translate(self._table), "little")
+        return int.from_bytes(b"".join(map(self._fields.__getitem__, values)), "little")
+
+    def unpack(self, packed: int, cells: int) -> tuple[int, ...]:
+        full, element = (1 << self._width) - 1, self._element
+        return tuple(element[packed >> s & full]
+                     for s in range(0, self._width * cells, self._width))
+
+
+def _packer(lat: Lattice, kind: str) -> _Masks:
+    """The packer of lat's value vectors whose field for value v is the
+    mask of v alone ("point"), of the elements below v ("down") or of those
+    above it ("up"); built once per lattice.  down(x meet y) is
+    down(x) & down(y), up(x join y) is up(x) & up(y), and x <= y iff
+    down(x) & ~down(y) == 0, so one big-int operation on two packed
+    vectors does the same at every cell."""
+    try:
+        return lat.__dict__["_packer_cache"][kind]
+    except KeyError:
+        pass
+    downs, m = lat.down_masks, lat.size
+    if kind == "point":
+        masks = [1 << v for v in range(m)]
+    elif kind == "down":
+        masks = downs
+    else:
+        masks = [sum(1 << y for y in range(m) if downs[y] >> x & 1) for x in range(m)]
+    packer = lat.__dict__.setdefault("_packer_cache", {})[kind] = _Masks(masks)
+    return packer
+
+
+def _allowed(lat: Lattice, lows, highs) -> int:
+    """The fields of the cells' allowed values, lows[k] <= v <= highs[k]:
+    the values above lows[k] and below highs[k]."""
+    return _packer(lat, "up").pack(lows) & _packer(lat, "down").pack(highs)
 
 
 def _cells(lat: Lattice, n: int) -> _Cells:
     """The cell structure of L^n that the predicates, the enumerator and
     decompose read, built once per lattice instance and arity.  below[k]
     holds the cells one cover step below cell k in one coordinate,
-    diagonal[x] is the cell of (x, ..., x), and lows[k] and highs[k] are
-    the meet and the join of cell k's tuple.  Arity 0 has the empty tuple
-    alone, whose meet is top and join bottom; cell r*m + x of arity n
-    extends cell r of arity n-1 by x."""
+    diagonal[x] is the cell of (x, ..., x), lows[k] and highs[k] are the
+    meet and the join of cell k's tuple, and allowed is one int whose
+    field k, in the layout of _packer, is the mask of the values between
+    them.  Arity 0 has the empty tuple alone, whose meet is top and join
+    bottom; cell r*m + x of arity n extends cell r of arity n-1 by x."""
+    try:
+        return lat.__dict__["_cells_cache"][n]
+    except KeyError:
+        pass
     if n == 0:
-        return _Cells(((),), (0,) * lat.size, (lat.top,), (lat.bottom,))
-    cache = lat.__dict__.setdefault("_cells_cache", {})
-    if n not in cache:
+        lows, highs = (lat.top,), (lat.bottom,)
+        record = _Cells(((),), (0,) * lat.size, lows, highs, _allowed(lat, lows, highs))
+    else:
         m, meet_t, join_t = lat.size, lat.meet_table, lat.join_table
         rows = _cells(lat, n - 1)
         lower = [[x for x in range(m) if c in lat.upper_covers(x)] for c in range(m)]
-        cache[n] = _Cells(
+        lows = tuple(meet_t[lo][x] for lo in rows.lows for x in range(m))
+        highs = tuple(join_t[hi][x] for hi in rows.highs for x in range(m))
+        record = _Cells(
             tuple((*(q * m + x for q in below), *(r * m + c for c in lower[x]))
                   for r, below in enumerate(rows.below) for x in range(m)),
             tuple(r * m + x for x, r in enumerate(rows.diagonal)),
-            tuple(meet_t[lo][x] for lo in rows.lows for x in range(m)),
-            tuple(join_t[hi][x] for hi in rows.highs for x in range(m)),
+            lows,
+            highs,
+            _allowed(lat, lows, highs),
         )
-    return cache[n]
+    lat.__dict__.setdefault("_cells_cache", {})[n] = record
+    return record
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,12 +316,10 @@ def check_idempotent_aggregation(f: FnTable):
 
 
 def is_intermediate(f: FnTable) -> bool:
-    """meet(x) <= f(x) <= join(x) for every input tuple."""
-    leq = f.lattice.leq_table
-    cells = _cells(f.lattice, f.arity)
-    return all(
-        leq[lo][v] and leq[v][hi] for lo, v, hi in zip(cells.lows, f.values, cells.highs)
-    )
+    """meet(x) <= f(x) <= join(x) for every input tuple: no value falls
+    outside its cell's allowed-value mask."""
+    allowed = _cells(f.lattice, f.arity).allowed
+    return not _packer(f.lattice, "point").pack(f.values) & ~allowed
 
 
 def pointwise_join(f: FnTable, g: FnTable) -> FnTable:

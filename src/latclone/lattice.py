@@ -95,6 +95,19 @@ class Lattice:
         leq = self.leq_table
         return all(leq[x][y] for x, y in zip(xs, ys))
 
+    @property
+    def down_masks(self) -> tuple[int, ...]:
+        """Bit y of down_masks[x] is set iff y <= x, so that x <= y exactly
+        when down_masks[x] & ~down_masks[y] == 0.  Built on first use."""
+        cached = self.__dict__.get("_down_masks_cache")
+        if cached is None:
+            leq, m = self.leq_table, self.size
+            cached = tuple(
+                sum(1 << y for y in range(m) if leq[y][x]) for x in range(m)
+            )
+            self.__dict__["_down_masks_cache"] = cached
+        return cached
+
     def upper_covers(self, x: int) -> tuple[int, ...]:
         """Elements covering x (immediately above it)."""
         cached = self.__dict__.get("_covers_cache")

@@ -174,6 +174,23 @@ def test_verify(capsys):
     assert out.splitlines()[0] == "lattice=chain3 arity=2 id_count=64 A=pass B=pass"
 
 
+def test_verify_chain4(capsys):
+    # part A is the majorant certificate: the closure search of earlier
+    # versions ran out of budget here
+    code, out, _ = run(capsys, ["verify", "--lattice", "chain:4", "--arity", "2"])
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "lattice=chain4 arity=2 id_count=4096 A=pass B=pass",
+        "reached=4096 rounds=1 budget_hit=false",
+    ]
+
+
+def test_verify_budget_help_names_generator_applications(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "generator applications" in capsys.readouterr().out
+
+
 def test_verify_budget_exit(capsys):
     code, out, err = run(
         capsys,

@@ -5,6 +5,7 @@ import pytest
 
 from latclone import (
     boolean,
+    certify,
     chain,
     closure,
     decompose_id_reduced,
@@ -16,6 +17,7 @@ from latclone import (
     is_monotone,
     join_fn,
     m_lattice,
+    make_chi,
     meet_fn,
     n5,
     projection,
@@ -24,11 +26,13 @@ from latclone import (
     verify_generation,
 )
 from latclone import clone
+from latclone.clone import DEFAULT_CLOSURE_BUDGET
 from latclone.errors import (
     ArityMismatch,
     BudgetExceeded,
     InvalidArgument,
     LatticeMismatch,
+    NotIdempotent,
 )
 from latclone.functable import FnTable, compose_values
 from latclone.terms import _children, _interned
@@ -348,3 +352,153 @@ def _meet_join(lat):
 def test_closure_matches_reference(make, n, budget):
     base = make()
     assert _fields(closure(base, n, budget)) == _reference_closure(base, n, budget)
+
+
+# ---------------------------------------------------------------- certificate
+
+
+@pytest.mark.parametrize(
+    "lat,n",
+    [(chain(2), 2), (chain(2), 3), (chain(2), 4), (chain(3), 2), (m_lattice(2), 2)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_certificate_agrees_with_the_brute_force_closure(lat, n):
+    ids = enumerate_class(lat, n, "idempotent")
+    keys = {f.key() for f in ids}
+    base = _reduced_base(lat)
+    cert = certify(base, ids)
+    brute = closure(base, n, until_keys=keys)
+    assert not brute.budget_hit
+    assert cert.keys == brute.keys == keys
+    assert [f.values for f in cert.reached] == [f.values for f in ids]
+    assert not cert.budget_hit and cert.rounds in (0, 1)
+
+
+def _join_iotas(lat):
+    """The reduced iotas iota[a,b,1;1]: each equals the ternary join."""
+    top = lat.labels[lat.top]
+    return [spec.table(lat) for spec in reduced_generator_set(lat) if spec.target == top]
+
+
+@pytest.mark.parametrize("extra", [lambda lat: [], _join_iotas],
+                         ids=["meet-join", "meet-join-join-iotas"])
+def test_certificate_and_closure_fail_alike_on_a_weakened_base(chain3, extra):
+    ids = enumerate_class(chain3, 2, "idempotent")
+    base = _meet_join(chain3) + extra(chain3)
+    keys = {f.key() for f in ids}
+    brute = closure(base, 2)  # the fixpoint: everything the base generates
+    assert not brute.budget_hit
+    cert = certify(base, ids)
+    unreached = keys - brute.keys
+    uncertified = keys - cert.keys
+    assert unreached and uncertified == unreached
+    assert cert.keys == brute.keys  # the four lattice polynomials
+    assert cert.rounds == (1 if extra(chain3) else 0)
+
+
+def test_certificate_join_alone_leaves_the_meet_uncertified(diamond):
+    # only x1, x2 and x1 v x2 lie in the clone of the join: nothing in it
+    # takes a value <= 0 at (a1, a2), so that majorant set is empty
+    join, meet = join_fn(diamond), meet_fn(diamond)
+    fns = {f.values for f in (projection(diamond, 2, 1), projection(diamond, 2, 2), join)}
+    upper = clone._majorants(diamond, fns, True)
+    a1a2 = diamond.index("a1") * diamond.size + diamond.index("a2")
+    assert upper[a1a2][diamond.bottom] == 0
+    members = [projection(diamond, 2, 1), meet, join]
+    report = certify([join], members)
+    assert [f.values for f in report.reached] == [members[0].values, join.values]
+
+
+def test_certificate_needs_the_meet_in_the_base(chain2):
+    # on chain2 every majorant set of the meet is nonempty and their meet is
+    # the meet itself, but the join alone does not generate it
+    meet = meet_fn(chain2)
+    assert not closure([join_fn(chain2)], 2).keys >= {meet.key()}
+    assert certify([join_fn(chain2)], [meet]).reached == []
+    assert certify([meet_fn(chain2), join_fn(chain2)], [meet]).reached == [meet]
+
+
+def test_certificate_needs_the_join_in_the_base(chain2):
+    join = join_fn(chain2)
+    assert certify([meet_fn(chain2)], [join]).reached == []
+    assert certify([meet_fn(chain2), join], [join]).reached == [join]
+
+
+def test_certificate_leaves_a_function_below_the_meet_uncertified(diamond):
+    # constant bottom is not idempotent: every clone member takes 1 at
+    # (1, 1), so its majorant set there is empty
+    bottom = FnTable(diamond, 2, (diamond.bottom,) * 16)
+    report = certify(_reduced_base(diamond), [bottom, meet_fn(diamond)])
+    assert [f.values for f in report.reached] == [meet_fn(diamond).values]
+
+
+@pytest.mark.parametrize("lat,n", [(chain(4), 2), (chain(3), 3), (n5(), 2)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_certificate_covers_the_class(lat, n):
+    ids = enumerate_class(lat, n, "idempotent")
+    report = certify(_reduced_base(lat), ids)
+    assert len(report.reached) == len(ids)
+    assert report.rounds == 1 and report.attempts <= DEFAULT_CLOSURE_BUDGET
+
+
+def test_certificate_on_two_byte_fields():
+    # nine elements: every down-set mask takes two bytes per cell
+    lat = m_lattice(7)
+    a1, a2 = lat.index("a1"), lat.index("a2")
+    members = [projection(lat, 2, 1), meet_fn(lat), join_fn(lat),
+               make_chi(lat, (a1, a2), a1), make_chi(lat, (a2, lat.top), a2)]
+    report = certify(_reduced_base(lat), members)
+    assert report.reached == members and report.rounds == 1
+    outside = FnTable(lat, 2, (lat.bottom,) * 81)
+    assert certify(_reduced_base(lat), [outside]).reached == []
+
+
+def test_certificate_skips_the_generator_level_when_p_suffices():
+    lat = chain(2)
+    ids = enumerate_class(lat, 4, "idempotent")
+    report = certify(_reduced_base(lat), ids, budget=1)
+    assert (report.rounds, report.attempts, len(report.reached)) == (0, 0, 166)
+
+
+def test_certificate_budget_counts_generator_applications(chain3):
+    ids = enumerate_class(chain3, 2, "idempotent")
+    assert certify(_reduced_base(chain3), ids, budget=896).attempts == 896
+    with pytest.raises(BudgetExceeded):
+        certify(_reduced_base(chain3), ids, budget=895)
+
+
+def test_certificate_refuses_a_base_outside_the_idempotent_class(chain3):
+    ids = enumerate_class(chain3, 2, "idempotent")
+    constant = FnTable(chain3, 2, (1,) * 9)
+    with pytest.raises(NotIdempotent):
+        certify(_meet_join(chain3) + [constant], ids)
+    # idempotent but not monotone: swaps the order off the diagonal
+    swap = FnTable(chain3, 2, tuple(x if x == y else 2 - x for x in range(3) for y in range(3)))
+    assert is_idempotent(swap) and not is_monotone(swap)
+    with pytest.raises(NotIdempotent):
+        certify(_meet_join(chain3) + [swap], ids)
+
+
+def test_certificate_argument_errors(chain2, chain3):
+    ids = enumerate_class(chain2, 2, "idempotent")
+    with pytest.raises(InvalidArgument):
+        certify([], ids)
+    with pytest.raises(InvalidArgument):
+        certify(_meet_join(chain2), [])
+    with pytest.raises(InvalidArgument):
+        certify(_meet_join(chain2), ids, budget=0)
+    with pytest.raises(LatticeMismatch):
+        certify(_meet_join(chain3), ids)
+    with pytest.raises(ArityMismatch):
+        certify(_meet_join(chain2), ids + [projection(chain2, 3, 1)])
+
+
+def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):
+    # part A over {meet, join} alone: only the four lattice polynomials are
+    # certified, and the other members come back as counterexamples
+    monkeypatch.setattr(clone, "reduced_generator_set", lambda lat: [])
+    report = verify_generation(chain3, 2)
+    assert not report.closure_pass and report.decomposition_pass
+    assert len(report.closure_report.reached) == 4
+    assert len(report.counterexamples) == 60
+    assert not {f.key() for f in report.counterexamples} & report.closure_report.keys

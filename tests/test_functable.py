@@ -38,6 +38,7 @@ from latclone.errors import (
 )
 from latclone.functable import (
     _cells,
+    _packer,
     all_tuples,
     compose_values,
     from_callable,
@@ -480,6 +481,39 @@ def test_is_intermediate_matches_per_cell_bounds(chain3, diamond):
                 for xs, v in zip(f.tuples(), f.values)
             )
             assert is_intermediate(f) == slow
+
+
+@pytest.mark.parametrize("lat", [chain(3), n5(), m_lattice(7)],
+                         ids=lambda lat: lat.name)
+def test_packed_masks_do_meet_join_and_order_at_every_cell(lat):
+    # m7 has nine elements, so its masks take two-byte fields
+    random.seed(5)
+    down, up, point = (_packer(lat, kind) for kind in ("down", "up", "point"))
+    leq, cells = lat.leq_table, 12
+    for _ in range(100):
+        x, y = (tuple(random.randrange(lat.size) for _ in range(cells)) for _ in "xy")
+        assert down.unpack(down.pack(x), cells) == x == up.unpack(up.pack(x), cells)
+        meet = tuple(lat.meet(a, b) for a, b in zip(x, y))
+        join = tuple(lat.join(a, b) for a, b in zip(x, y))
+        assert down.pack(x) & down.pack(y) == down.pack(meet)
+        assert up.pack(x) & up.pack(y) == up.pack(join)
+        below = all(leq[a][b] for a, b in zip(x, y))
+        assert (down.pack(x) & ~down.pack(y) == 0) is below
+        assert (point.pack(x) & ~point.pack(y) == 0) is (x == y)
+
+
+def test_is_intermediate_on_two_byte_fields():
+    lat = m_lattice(7)
+    random.seed(11)
+    bounds = list(zip(_cells(lat, 2).lows, _cells(lat, 2).highs))
+    inside = [[v for v in range(lat.size) if lat.leq(lo, v) and lat.leq(v, hi)]
+              for lo, hi in bounds]
+    for _ in range(200):
+        values = [random.choice(vs) for vs in inside]
+        assert is_intermediate(FnTable(lat, 2, tuple(values)))
+        k = random.randrange(len(values))
+        values[k] = random.randrange(lat.size)
+        assert is_intermediate(FnTable(lat, 2, tuple(values))) == (values[k] in inside[k])
 
 
 def test_iter_monotone_values_interval_equals_idempotent(diamond):

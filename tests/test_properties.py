@@ -11,14 +11,19 @@ from latclone import (
     Join,
     Meet,
     Var,
+    boolean,
     chain,
     format_function,
+    format_lattice,
+    from_covers,
     m_lattice,
     n5,
     parse_function,
+    parse_lattice,
     parse_term,
 )
 from latclone.errors import InvalidArgument, LatcloneError
+from latclone.lattice import LABEL_RESERVED
 from latclone.generators import KINDS, chi_spec, iota_spec, mu_spec, oplus_spec
 from latclone.terms import format_term_file, parse_term_file
 
@@ -124,3 +129,40 @@ def test_parse_term_raises_only_domain_errors(source, n):
         parse_term(source, n)
     except LatcloneError:
         pass
+
+
+ROUND_TRIP_LATTICES = [*map(chain, range(2, 6)), *map(m_lattice, (1, 2, 3)), n5(),
+                       boolean(2), boolean(3)]
+# Labels are drawn distinct from characters the label grammar allows, with
+# '-' and '>' among them; sometimes one label, and often the name, is drawn
+# from any text or from the grammar's reserved delimiters and whitespace.
+GRAMMAR_LABELS = st.text("01ab_.é+->", min_size=1, max_size=4)
+ANY_LABELS = st.text("01a" + LABEL_RESERVED + " \t\n\x85", max_size=3) | st.text(max_size=3)
+
+
+@st.composite
+def relabelled_lattices(draw):
+    lat = draw(st.sampled_from(ROUND_TRIP_LATTICES))
+    labels = draw(st.lists(GRAMMAR_LABELS, min_size=lat.size, max_size=lat.size, unique=True))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, lat.size - 1))] = draw(ANY_LABELS)
+    covers = [(labels[x], labels[y]) for x in range(lat.size) for y in lat.upper_covers(x)]
+    return lat, labels, covers, draw(GRAMMAR_LABELS | ANY_LABELS)
+
+
+@SETTINGS
+@given(relabelled_lattices())
+def test_lattice_files_parse_back(case):
+    lat, labels, covers, name = case
+    try:
+        relabelled = from_covers(labels, covers, name=name)
+    except InvalidArgument:
+        return  # a label or name that would not read back is refused up front
+    # the builtins list their labels in a linear extension, so the order
+    # and the indices carry over unchanged
+    assert relabelled.labels == tuple(labels)
+    assert relabelled.leq_table == lat.leq_table
+    back = parse_lattice(format_lattice(relabelled))
+    assert (back.name, back.labels, back.leq_table) == (name, relabelled.labels, lat.leq_table)
+    assert [back.upper_covers(x) for x in range(back.size)] == [
+        lat.upper_covers(x) for x in range(lat.size)]
