@@ -112,11 +112,12 @@ def cmd_closure(args) -> int:
 def _parse_n_range(raw: str) -> range:
     lo, sep, hi = raw.partition("..")
     try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
-        return range(int(lo), int(lo) + 1)
+        span = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         raise LatcloneError(f"bad n range {raw!r}")
+    if not span:
+        raise LatcloneError(f"empty n range {raw!r}")
+    return span
 
 
 def cmd_count(args) -> int:

@@ -20,7 +20,8 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from operator import attrgetter, getitem, itemgetter
+from functools import partial
+from operator import add, attrgetter, getitem, itemgetter, methodcaller, mul
 
 from .decompose import decompose_id_reduced
 from .errors import ArityMismatch, BudgetExceeded, InvalidArgument, LatticeMismatch
@@ -79,29 +80,60 @@ def _field_format(m: int, k: int) -> str:
 
 
 def _gather_kernel(m: int, cells: int, k: int, packed: list):
-    """(pack, gather) for composing tables of arity at most k with value
-    vectors of the given number of cells.  pack(values) is the int with one
-    fixed-width field per cell that gather reads from the list packed;
-    gather(idxs) is a getter of the composite's values, at every cell, from
-    a base table whose arguments are the vectors packed[i] for i in idxs."""
-    order, fmt = sys.byteorder, _field_format(m, k)
+    """(pack, form, table, compose) for composing tables of arity at most
+    k with value vectors of the given number of cells.
+
+    pack(values) is the int with one fixed-width field per cell that
+    compose reads from the list packed.  compose(idx_tuples, tables) lists,
+    for each tuple idxs and then each base table, the composite of the
+    table with the vectors packed[i] for i in idxs as arguments.  Each
+    table must come from table(values); each composite is in the form that
+    form(values) gives, and tuple() turns it into the value tuple.
+
+    A tuple's table index at every cell takes k-1 big-int multiply-adds,
+    over the whole batch in C.  When every index fits one byte
+    (m**k <= 256), the int's to_bytes is the cells' index bytes, a table
+    is the base's values padded to 256 bytes, and a composite is one
+    bytes.translate.  Wider indices are read by an itemgetter off the
+    base's value tuple.
+    """
+    order = sys.byteorder
+
+    def indices(idx_tuples):
+        cols = zip(*idx_tuples)
+        x = map(packed.__getitem__, next(cols, ()))
+        for col in cols:
+            x = map(add, map(mul, x, itertools.repeat(m)), map(packed.__getitem__, col))
+        return x
+
+    def fields(idx_tuples, nbytes):
+        return map(int.to_bytes, indices(idx_tuples), itertools.repeat(nbytes),
+                   itertools.repeat(order))
+
+    # m == 1, the one case of a single cell, always takes this path: an
+    # itemgetter of one index would return a bare value, not a tuple
+    if m**k <= 256:
+        def compose(idx_tuples, tables):
+            return [idx.translate(t) for idx in fields(idx_tuples, cells) for t in tables]
+
+        return partial(int.from_bytes, byteorder=order), bytes, _padded, compose
+
+    fmt = _field_format(m, k)
     nbytes = cells * array(fmt).itemsize
 
     def pack(values) -> int:
         return int.from_bytes(array(fmt, values).tobytes(), order)
 
-    def gather(idxs):
-        x = 0
-        for i in idxs:
-            x = x * m + packed[i]
-        cell_idx = x.to_bytes(nbytes, order)
-        if fmt != "B":  # bytes already read as one-byte ints
-            cell_idx = memoryview(cell_idx).cast(fmt)
-        if cells == 1:  # itemgetter of one item returns it bare
-            return itemgetter(slice(cell_idx[0], cell_idx[0] + 1))
-        return itemgetter(*cell_idx)
+    def compose(idx_tuples, tables):
+        idxs = map(methodcaller("cast", fmt), map(memoryview, fields(idx_tuples, nbytes)))
+        return [get(t) for get in itertools.starmap(itemgetter, idxs) for t in tables]
 
-    return pack, gather
+    return pack, tuple, tuple, compose
+
+
+def _padded(values) -> bytes:
+    """A one-byte table as a bytes.translate table."""
+    return bytes(values).ljust(256, b"\0")
 
 
 class _Stream:
@@ -110,7 +142,7 @@ class _Stream:
 
     def __init__(self, arity: int, bases: list):
         self.arity = arity
-        self.bases = bases  # value vectors of the base functions
+        self.bases = bases  # base tables, as the kernel's table() gives them
         self.level = 0
         self._pending = None
 
@@ -151,12 +183,18 @@ def closure(
 
     The kernel is a gather: every reached value vector is packed once into
     an int with one fixed-width field per cell, so an argument tuple's
-    table index at every cell takes k-1 big-int multiply-adds, and one
-    itemgetter over those indices reads the composite off each base table.
+    table index at every cell takes k-1 big-int multiply-adds.  When every
+    index fits one byte, that int's bytes are the cells' indices and one
+    bytes.translate over each base table, padded to 256 bytes, reads the
+    composite as bytes; the reached set is deduplicated in that form, and
+    only a new composite becomes a tuple.  Wider indices are read by one
+    itemgetter per tuple.  n must be at least 1 (ArityMismatch).
     """
     base = list(base)
     if budget < 1:
         raise InvalidArgument(f"budget must be >= 1, got {budget}")
+    if n < 1:
+        raise ArityMismatch(f"arity must be >= 1, got {n}")
     if not base:
         raise InvalidArgument("closure needs at least one base function")
     lat = base[0].lattice
@@ -165,17 +203,19 @@ def closure(
 
     start = time.monotonic()
     reached: list[FnTable] = [projection(lat, n, i) for i in range(1, n + 1)]
-    seen = {f.values for f in reached}
+    packed: list[int] = []
+    pack, form, table, compose = _gather_kernel(
+        lat.size, lat.size**n, max(f.arity for f in base), packed
+    )
+    packed += [pack(f.values) for f in reached]
+    seen = {form(f.values) for f in reached}
 
     by_arity: dict[int, list] = {}
     for f in base:
-        by_arity.setdefault(f.arity, []).append(f.values)
+        by_arity.setdefault(f.arity, []).append(table(f.values))
     streams = [_Stream(k, by_arity[k]) for k in sorted(by_arity)]
 
-    packed: list[int] = []
-    pack, gather = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
-    packed += [pack(f.values) for f in reached]
-    missing = None if until_keys is None else set(until_keys) - {(n, v) for v in seen}
+    missing = None if until_keys is None else set(until_keys) - {f.key() for f in reached}
     insertions = attempts = 0
     budget_hit = False
     done = missing is not None and not missing
@@ -198,20 +238,19 @@ def closure(
                     stream.advance()
                     continue
                 progressed = True
-                outs = []
-                for get in map(gather, chunk):
-                    outs += map(get, tables)
+                outs = compose(chunk, tables)
                 # an attempt is due past the budget: cut there
                 budget_hit = len(outs) > budget - attempts
                 if budget_hit:
                     del outs[budget - attempts:]
                 if not seen.issuperset(outs):
-                    for j, values in enumerate(outs):
-                        if values in seen:
+                    for j, out in enumerate(outs):
+                        if out in seen:
                             continue
-                        seen.add(values)
+                        seen.add(out)
+                        values = tuple(out)
                         reached.append(FnTable(lat, n, values))
-                        packed.append(pack(values))
+                        packed.append(pack(out))
                         insertions += 1
                         if missing is not None:
                             missing.discard((n, values))
@@ -234,7 +273,7 @@ def closure(
         attempts=attempts,
         budget_hit=budget_hit,
         elapsed=time.monotonic() - start,
-        keys={(n, v) for v in seen},
+        keys={f.key() for f in reached},
     )
 
 
@@ -273,13 +312,13 @@ def _generator_level(gens, polys, lat: Lattice, n: int) -> set:
     for g in gens:
         by_arity.setdefault(g.arity, []).append(g.values)
     packed: list[int] = []
-    pack, gather = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
+    pack, _, table, compose = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
     packed += map(pack, polys)
     out = set()
-    for k, tables in by_arity.items():
-        for idxs in itertools.product(range(len(polys)), repeat=k):
-            out.update(map(gather(idxs), tables))
-    return out
+    for k, values in by_arity.items():
+        idxs = itertools.product(range(len(polys)), repeat=k)
+        out.update(compose(idxs, list(map(table, values))))
+    return set(map(tuple, out))
 
 
 def _majorants(lat: Lattice, fns: set, has_join: bool) -> list[list[int]]:
@@ -319,12 +358,14 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     nothing; without the join in base, H[c][v] counts only when it is
     itself in G, and without the meet, f must also equal one H[c][f(c)].
 
-    G is P first.  If a member is left, G gains one generator level: every
-    other base function applied to every tuple of its arity over P.  budget
-    bounds those applications, and BudgetExceeded is raised before any is
-    made when the level needs more.  Each value is packed as its down-set
-    mask (x <= y iff down(x) is a subset of down(y)), one field per cell,
-    so each test H >= f is one big-int and.
+    G is P first; with both the meet and the join in base that certifies
+    exactly the members of P, so it is a membership test.  If a member is
+    left, G gains one generator level: every other base function applied
+    to every tuple of its arity over P, composed by the closure's kernel.
+    budget bounds those applications, and BudgetExceeded is raised before
+    any is made when the level needs more.  Each value is packed as its
+    down-set mask (x <= y iff down(x) is a subset of down(y)), one field
+    per cell, so each test H >= f is one big-int and.
 
     Every base function must be an idempotent aggregation function
     (NotIdempotent otherwise), so the clone lies inside the idempotent
@@ -368,7 +409,12 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
         return [i for i in indices if fails(i)]
 
     fns = set(polys)
-    left = uncertified(range(len(members)), fns)
+    if has_meet and has_join:
+        # H[c][v] is then a join of members of P, so in P, and a certified
+        # f is their meet, so in P too: G = P certifies exactly P.
+        left = [i for i, f in enumerate(members) if f.values not in fns]
+    else:
+        left = uncertified(range(len(members)), fns)
     rounds = attempts = 0
     if left and gens:
         attempts = sum(len(polys) ** g.arity for g in gens)

@@ -232,14 +232,33 @@ def test_closure_bad_budget_exit(capsys):
     [
         ["verify", "--lattice", "chain:2", "--arity", "0"],
         ["enum", "--lattice", "chain:2", "--arity", "0", "--class", "idempotent"],
+        ["closure", "--lattice", "chain:2", "--arity", "0"],
     ],
-    ids=["verify", "enum"],
+    ids=["verify", "enum", "closure"],
 )
 def test_arity_zero_exit(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == "ArityMismatch: arity must be >= 1, got 0\n"
+
+
+def test_closure_negative_arity_exit(capsys):
+    code, out, err = run(capsys, ["closure", "--lattice", "chain:2", "--arity", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "ArityMismatch: arity must be >= 1, got -1\n"
+
+
+def test_enum_negative_count_budget_exit(capsys):
+    code, out, err = run(
+        capsys,
+        ["enum", "--lattice", "chain:2", "--arity", "2", "--class", "monotone",
+         "--count-budget", "-1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "InvalidArgument: count budget must be >= 0, got -1\n"
 
 
 def test_closure_extra_fn_file(capsys, median_file):
@@ -269,6 +288,10 @@ def test_count_bad_range(capsys):
     code, out, err = run(capsys, ["count", "--family", "chain", "--n", "abc"])
     assert code == 2
     assert "bad n range" in err
+    code, out, err = run(capsys, ["count", "--family", "chain", "--n", "3..1"])
+    assert code == 2
+    assert out == ""
+    assert err == "LatcloneError: empty n range '3..1'\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -2,6 +2,8 @@ import gc
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latclone import (
     boolean,
@@ -34,7 +36,7 @@ from latclone.errors import (
     LatticeMismatch,
     NotIdempotent,
 )
-from latclone.functable import FnTable, compose_values
+from latclone.functable import FnTable, compose_values, from_callable
 from latclone.terms import _children, _interned
 
 
@@ -128,6 +130,9 @@ def test_closure_argument_errors_are_domain_errors(chain2):
         closure([], 2)
     with pytest.raises(InvalidArgument):
         closure([meet_fn(chain2)], 2, budget=0)
+    for n in (0, -1):
+        with pytest.raises(ArityMismatch):
+            closure([meet_fn(chain2)], n)
 
 
 def test_verify_generation_rejects_arity_zero(chain2):
@@ -333,11 +338,24 @@ def _meet_join(lat):
     return [meet_fn(lat), join_fn(lat)]
 
 
+def _min4_and_join(lat):
+    return [from_callable(lat, 4, min, name="min4"), join_fn(lat)]
+
+
+def _six_ary_and_meet(lat):
+    six = from_callable(lat, 6, lambda xs: (xs[0] + 2 * xs[1] + xs[5]) % lat.size, name="six")
+    return [six, meet_fn(lat)]
+
+
 @pytest.mark.parametrize(
     "make,n,budget",
     [
         # 8**3 = 512 table cells for the ternary iotas: two-byte index fields
         (lambda: _reduced_base(boolean(3)), 2, 5000),
+        # 4**4 = 256 entries: the widest table whose indices fit one byte
+        (lambda: _min4_and_join(chain(4)), 3, 3000),
+        # 3**6 = 729 entries, just past it: two-byte index fields
+        (lambda: _six_ary_and_meet(chain(3)), 2, 2000),
         # one element, so every arity has a single cell
         (lambda: _meet_join(from_covers(["0"], [])), 3, 10**6),
         (lambda: _meet_join(m_lattice(2)), 3, 10**6),
@@ -346,11 +364,30 @@ def _meet_join(lat):
         (lambda: [meet_fn(chain(2)), projection(chain(2), 1, 1)], 2, 10**6),
         (lambda: _reduced_base(chain(3)), 2, 10**6),
     ],
-    ids=["boolean3-reduced", "one-element", "m2-fixpoint", "m3-fixpoint", "n5-fixpoint",
-         "mixed-arities", "chain3-reduced"],
+    ids=["boolean3-reduced", "chain4-256-entries", "chain3-729-entries", "one-element",
+         "m2-fixpoint", "m3-fixpoint", "n5-fixpoint", "mixed-arities", "chain3-reduced"],
 )
 def test_closure_matches_reference(make, n, budget):
     base = make()
+    assert _fields(closure(base, n, budget)) == _reference_closure(base, n, budget)
+
+
+@st.composite
+def closure_cases(draw):
+    lat = draw(st.sampled_from([chain(2), chain(3), chain(4), m_lattice(2), n5()]))
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 3))
+        values = draw(st.lists(st.integers(0, lat.size - 1),
+                               min_size=lat.size**k, max_size=lat.size**k))
+        base.append(FnTable(lat, k, tuple(values)))
+    return base, draw(st.integers(1, 3)), draw(st.integers(1, 2000))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(closure_cases())
+def test_closure_matches_reference_on_arbitrary_bases(case):
+    base, n, budget = case
     assert _fields(closure(base, n, budget)) == _reference_closure(base, n, budget)
 
 
@@ -394,6 +431,16 @@ def test_certificate_and_closure_fail_alike_on_a_weakened_base(chain3, extra):
     assert unreached and uncertified == unreached
     assert cert.keys == brute.keys  # the four lattice polynomials
     assert cert.rounds == (1 if extra(chain3) else 0)
+
+
+@pytest.mark.parametrize("lat", [chain(3), m_lattice(2), n5()], ids=lambda lat: lat.name)
+def test_certificate_of_meet_and_join_is_the_closure(lat):
+    # with both in the base, G = P certifies exactly P, which is the closure
+    ids = enumerate_class(lat, 2, "idempotent")
+    cert = certify(_meet_join(lat), ids)
+    brute = closure(_meet_join(lat), 2)
+    assert not brute.budget_hit
+    assert cert.keys == brute.keys and cert.rounds == 0
 
 
 def test_certificate_join_alone_leaves_the_meet_uncertified(diamond):

@@ -333,6 +333,8 @@ def test_count_budget(chain2):
     assert len(enumerate_class(chain2, 2, "monotone", count_budget=6)) == 6
     with pytest.raises(BudgetExceeded):
         enumerate_class(chain2, 2, "monotone", count_budget=5)
+    with pytest.raises(InvalidArgument):
+        enumerate_class(chain2, 2, "monotone", count_budget=-1)
 
 
 # Classes too large to list twice are compared on a prefix: n5 has
