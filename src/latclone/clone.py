@@ -17,16 +17,16 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-import weakref
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
-from operator import add, attrgetter, getitem, itemgetter, methodcaller, mul
+from functools import partial, reduce
+from operator import add, and_, attrgetter, getitem, itemgetter, methodcaller, mul
 
-from .decompose import decompose_id_reduced
+from .decompose import _anchor_operand
 from .errors import ArityMismatch, BudgetExceeded, InvalidArgument, LatticeMismatch
 from .functable import (
     FnTable,
+    _cells,
     _check_same_lattice,
     _packer,
     all_tuples,
@@ -455,6 +455,20 @@ class VerificationReport:
         return self.closure_pass and self.decomposition_pass
 
 
+def _unrecovered(lat: Lattice, n: int, members) -> list[FnTable]:
+    """The members f of Id^n whose reduced decomposition, the meet over the
+    cells k of the anchor operand of (k, f(k)), does not tabulate to f.  As
+    down(x meet y) = down(x) & down(y), that is when the and over k of the
+    packed operand tables T[k][f(k)] is not f packed."""
+    m, cells, leq = lat.size, _cells(lat, n), lat.leq_table
+    points, memo, pack = all_tuples(m, n), {}, _packer(lat, "down").pack
+    tables = [[pack(_tabulate(_anchor_operand(lat, n, k, v, True), lat, points, memo))
+               if leq[lo][v] and leq[v][hi] else None for v in range(m)]
+              for k, (lo, hi) in enumerate(zip(cells.lows, cells.highs))]
+    return [f for f in members
+            if reduce(and_, map(getitem, tables, f.values)) != pack(f.values)]
+
+
 def verify_generation(
     lat: Lattice,
     n: int,
@@ -469,8 +483,8 @@ def verify_generation(
     clone lies inside the class, and A passes when every member is
     certified.  A member left uncertified is reported as a counterexample:
     it is not shown to lie in the clone.  (B) every enumerated member
-    tabulates back from its reduced decomposition term.  Part B tabulates
-    each distinct term node once per run.
+    tabulates back from its reduced decomposition term, the meet of its
+    anchor operands; _unrecovered checks this without building the term.
     """
     ids = enumerate_class(lat, n, "idempotent")
     base = [meet_fn(lat), join_fn(lat)]
@@ -478,19 +492,9 @@ def verify_generation(
     report = certify(base, ids, budget)
     closure_pass = len(report.reached) == len(ids)
 
-    points, memo = all_tuples(lat.size, n), weakref.WeakKeyDictionary()
-    bad_decompositions = []
-    for f in ids:
-        # term holds the previous member's term until this one is built.  In
-        # lexicographic order that member shares the longest meet-chain
-        # prefix any earlier member shares with this one, so the prefix stays
-        # interned and memoised, and memory stays O(m**n).
-        term = decompose_id_reduced(f)
-        if _tabulate(term, lat, points, memo) != f.values:
-            bad_decompositions.append(f)
-    counterexamples = list(bad_decompositions)
-    if not closure_pass:
-        counterexamples += [f for f in ids if f.key() not in report.keys]
+    bad_decompositions = _unrecovered(lat, n, ids)
+    counterexamples = bad_decompositions + [
+        f for f in ids if not closure_pass and f.key() not in report.keys]
 
     return VerificationReport(
         lattice_name=lat.name,

@@ -21,42 +21,41 @@ from .terms import Apply, Join, Meet, Term, Var, _post_order, _tabulate, join_of
 
 
 def _decompose(f: FnTable, reduced: bool) -> Term:
-    """The meet-of-joins iota term shared by both decompositions.
-
-    Outer meet runs over all tuples a in lexicographic order, inner join
-    over coordinates i = 1..n.  The third iota threshold is join(a), or top
-    when reduced, in which case each node is joined with the shared tail
-    iota[(meet a, join a, 1); f(a)](mx, jx, jx).
-
-    The operand of anchor a depends only on (a, f(a)), so each is built
-    once per lattice, arity and form: slot k*m + v of the lattice's cache
-    holds the operand of the k-th tuple when f maps it to v.
-    """
+    """The meet-of-joins iota term shared by both decompositions: the meet,
+    over the tuples a in lexicographic order, of the anchor operand of a."""
     check_idempotent_aggregation(f)
     lat, n, m = f.lattice, f.arity, f.lattice.size
-    cells = _cells(lat, n)
+    slots = _operand_slots(lat, n, reduced)
+    return meet_of([slots[k * m + v] or _anchor_operand(lat, n, k, v, reduced)
+                    for k, v in enumerate(f.values)])
+
+
+def _operand_slots(lat: Lattice, n: int, reduced: bool) -> list:
+    """The lattice's anchor operands of arity n in one form: slot k*m + v
+    holds the operand of the k-th tuple when f maps it to v."""
     cache = lat.__dict__.setdefault("_operand_cache", {})
-    slots = cache.get((n, reduced))
-    if slots is None:
-        slots = cache[n, reduced] = [None] * (m ** n * m)
-    xs = [Var(i) for i in range(1, n + 1)]
-    mx, jx = meet_of(xs), join_of(xs)
-    operands = []
-    for k, (a, fa) in enumerate(zip(f.tuples(), f.values)):
-        operand = slots[k * m + fa]
-        if operand is None:
-            wa, va = cells.lows[k], cells.highs[k]
-            third = lat.top if reduced else va
-            inner = [
-                Apply(iota_spec(lat, wa, a[i], third, fa), (mx, xs[i], jx))
-                for i in range(n)
-            ]
-            if reduced:
-                tail = Apply(iota_spec(lat, wa, va, lat.top, fa), (mx, jx, jx))
-                inner = [Join(node, tail) for node in inner]
-            operand = slots[k * m + fa] = join_of(inner)
-        operands.append(operand)
-    return meet_of(operands)
+    return cache.get((n, reduced)) or cache.setdefault((n, reduced), [None] * lat.size ** (n + 1))
+
+
+def _anchor_operand(lat: Lattice, n: int, k: int, v: int, reduced: bool) -> Term:
+    """The operand of the k-th tuple a when f(a) = v, built once: the join
+    over coordinates i of iota[(meet a, a_i, join a); v](mx, x_i, jx).  When
+    reduced the third threshold is top and each node is joined with the
+    shared tail iota[(meet a, join a, 1); v](mx, jx, jx)."""
+    slots, m = _operand_slots(lat, n, reduced), lat.size
+    if slots[k * m + v] is None:
+        cells = _cells(lat, n)
+        wa, va = cells.lows[k], cells.highs[k]
+        a = [k // m ** (n - 1 - i) % m for i in range(n)]  # cell k is a's index in base m
+        xs = [Var(i) for i in range(1, n + 1)]
+        mx, jx = meet_of(xs), join_of(xs)
+        third = lat.top if reduced else va
+        inner = [Apply(iota_spec(lat, wa, a[i], third, v), (mx, xs[i], jx)) for i in range(n)]
+        if reduced:
+            tail = Apply(iota_spec(lat, wa, va, lat.top, v), (mx, jx, jx))
+            inner = [Join(node, tail) for node in inner]
+        slots[k * m + v] = join_of(inner)
+    return slots[k * m + v]
 
 
 def decompose_id(f: FnTable) -> Term:

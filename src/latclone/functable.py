@@ -493,8 +493,9 @@ def enumerate_class(
         raise InvalidArgument(f"unknown class {cls!r}; expected one of {CLASSES}")
     if n < 1:
         raise ArityMismatch(f"arity must be >= 1, got {n}")
-    if count_budget < 0:
-        raise InvalidArgument(f"count budget must be >= 0, got {count_budget}")
+    for label, budget in (("cell", cell_budget), ("count", count_budget)):
+        if budget < 0:
+            raise InvalidArgument(f"{label} budget must be >= 0, got {budget}")
     vectors = iter_monotone_values(
         lat, n, cell_budget=cell_budget, **_CLASS_FLAGS[cls]
     )

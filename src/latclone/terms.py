@@ -11,6 +11,7 @@ joins of more than two operands are built as left-nested binary nodes.
 from __future__ import annotations
 
 import weakref
+from functools import reduce
 
 from .errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
 from .functable import (
@@ -115,26 +116,21 @@ class Apply(Term):
         return node
 
 
-def meet_of(terms) -> Term:
-    """Left-nested meet of one or more terms."""
+def _left_nested(node_type, terms, name: str) -> Term:
     terms = list(terms)
     if not terms:
-        raise ArityMismatch("meet_of needs at least one operand")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Meet(acc, t)
-    return acc
+        raise ArityMismatch(f"{name} needs at least one operand")
+    return reduce(node_type, terms)
+
+
+def meet_of(terms) -> Term:
+    """Left-nested meet of one or more terms."""
+    return _left_nested(Meet, terms, "meet_of")
 
 
 def join_of(terms) -> Term:
     """Left-nested join of one or more terms."""
-    terms = list(terms)
-    if not terms:
-        raise ArityMismatch("join_of needs at least one operand")
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Join(acc, t)
-    return acc
+    return _left_nested(Join, terms, "join_of")
 
 
 def _children(node: Term) -> tuple[Term, ...]:
@@ -175,8 +171,7 @@ def _rebuild(entries: list[tuple]) -> Term:
 def _tabulate(t: Term, lat: Lattice, points, memo) -> tuple[int, ...]:
     """Values of t at every point: a post-order walk that composes each
     distinct node's outer table with its children's vectors once.  memo
-    maps nodes to their vectors; walks over the same points may share it,
-    and a weakref.WeakKeyDictionary lets entries go with their nodes.
+    maps nodes to their vectors; walks over the same points may share it.
     """
     columns = tuple(zip(*points))
     lookups = {Meet: meet_fn(lat).lookup, Join: join_fn(lat).lookup}

@@ -261,6 +261,16 @@ def test_enum_negative_count_budget_exit(capsys):
     assert err == "InvalidArgument: count budget must be >= 0, got -1\n"
 
 
+def test_enum_negative_cell_budget_exit(capsys):
+    args = ["enum", "--lattice", "chain:2", "--arity", "2", "--class", "monotone",
+            "--cell-budget"]
+    assert run(capsys, [*args, "-1"]) == (
+        2, "", "InvalidArgument: cell budget must be >= 0, got -1\n")
+    code, out, err = run(capsys, [*args, "0"])
+    assert (code, out) == (3, "")
+    assert err.startswith("BudgetExceeded: 2^2 = 4 cells exceeds the cell budget 0")
+
+
 def test_closure_extra_fn_file(capsys, median_file):
     code, out, _ = run(
         capsys,

@@ -141,12 +141,15 @@ def test_verify_generation_rejects_arity_zero(chain2):
 
 
 @pytest.mark.parametrize(
-    "lat,count",
-    [(chain(2), 4), (chain(3), 64), (m_lattice(2), 1296)],
-    ids=lambda v: getattr(v, "name", v),
+    "lat,n,count",
+    [pytest.param(chain(2), 2, 4, id="chain2-4"),
+     pytest.param(chain(3), 2, 64, id="chain3-64"),
+     pytest.param(m_lattice(2), 2, 1296, id="m2-1296"),
+     pytest.param(chain(3), 3, 116211, id="chain3-arity3-116211")],
 )
-def test_verify_generation_binary(lat, count):
-    report = verify_generation(lat, 2)
+def test_verify_generation_binary(lat, n, count):
+    """verify_generation passes at arity 2, and on chain3 at arity 3."""
+    report = verify_generation(lat, n)
     assert report.id_count == count
     assert report.closure_pass
     assert report.decomposition_pass
@@ -156,39 +159,35 @@ def test_verify_generation_binary(lat, count):
 
 @pytest.mark.parametrize(
     "lat,n",
-    [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4)],
+    [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4), (chain(4), 2)],
     ids=lambda v: getattr(v, "name", v),
 )
-def test_part_b_memo_matches_fresh_tabulation(lat, n, monkeypatch):
-    """Every run-wide memoised tabulation in part B equals a fresh per-member
-    to_table of the same term, the slow path."""
-    results = []
-    run_wide = clone._tabulate
-
-    def checked(term, *args):
-        values = run_wide(term, *args)
-        results.append(values == to_table(term, lat, n).values)
-        return values
-
-    monkeypatch.setattr(clone, "_tabulate", checked)
+def test_part_b_agrees_with_tabulating_each_members_term(lat, n):
+    """Part B's verdict and counterexamples equal the slow path's: to_table
+    of each member's reduced decomposition term, member by member."""
+    ids = enumerate_class(lat, n, "idempotent")
+    slow = [f for f in ids if to_table(decompose_id_reduced(f), lat, n).values != f.values]
     report = verify_generation(lat, n)
-    assert report.ok
-    assert len(results) == report.id_count and all(results)
+    assert report.closure_pass
+    assert report.decomposition_pass == (not slow)
+    assert report.counterexamples == slow
 
 
-def test_part_b_flags_a_wrong_term_served_from_the_memo(chain3, monkeypatch):
-    ids = enumerate_class(chain3, 2, "idempotent")
-    target = ids[-5]
-    # the previous member's term: tabulated and memoised just before
-    wrong = decompose_id_reduced(ids[-6])
-    real = clone.decompose_id_reduced
+@pytest.mark.parametrize("v", [1, 2])
+def test_part_b_flags_exactly_the_members_of_a_wrong_operand(chain3, v, monkeypatch):
+    # cell 2 is the tuple (0, 2): meet 0, join 2, so v = 1 and v = 2 are
+    # admissible; serve the operand of (2, 0) in place of that of (2, v)
+    k, lo = 2, 0
+    real = clone._anchor_operand
     monkeypatch.setattr(
-        clone, "decompose_id_reduced",
-        lambda f: wrong if f.values == target.values else real(f),
+        clone, "_anchor_operand",
+        lambda lat, n, j, w, reduced: real(lat, n, j, lo if (j, w) == (k, v) else w, reduced),
     )
     report = verify_generation(chain3, 2)
     assert report.closure_pass and not report.decomposition_pass
-    assert [f.values for f in report.counterexamples] == [target.values]
+    ids = enumerate_class(chain3, 2, "idempotent")
+    assert report.counterexamples == [f for f in ids if f.values[k] == v]
+    assert report.counterexamples
 
 
 def test_part_b_leaves_only_the_operand_cache_interned():
@@ -498,6 +497,23 @@ def test_certificate_on_two_byte_fields():
     assert report.reached == members and report.rounds == 1
     outside = FnTable(lat, 2, (lat.bottom,) * 81)
     assert certify(_reduced_base(lat), [outside]).reached == []
+
+
+def test_part_b_on_two_byte_fields():
+    # nine elements: every down-set mask takes two bytes per cell, and the 81
+    # cells are over the enumerator's budget, so the members are given
+    lat = m_lattice(7)
+    a1, a2 = lat.index("a1"), lat.index("a2")
+    members = [projection(lat, 2, 1), meet_fn(lat), join_fn(lat),
+               make_chi(lat, (a1, a2), a1), make_chi(lat, (a2, lat.top), a2)]
+    assert clone._unrecovered(lat, 2, members) == []
+    # x1 with (a1, a2) moved from a1 to a2, inside [bottom, top]: (a1, bottom)
+    # below it still maps to a1, so the table is no longer monotone
+    values = list(members[0].values)
+    values[a1 * lat.size + a2] = a2
+    moved = FnTable(lat, 2, tuple(values))
+    assert not is_monotone(moved)
+    assert clone._unrecovered(lat, 2, [*members, moved]) == [moved]
 
 
 def test_certificate_skips_the_generator_level_when_p_suffices():

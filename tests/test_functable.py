@@ -324,6 +324,11 @@ def test_projection_neutrality(chain3):
 def test_cell_budget(chain3):
     with pytest.raises(BudgetExceeded):
         enumerate_class(chain3, 4, "monotone")
+    # a budget of 0 cells has run out; a negative one is no budget at all
+    with pytest.raises(BudgetExceeded):
+        enumerate_class(chain3, 2, "monotone", cell_budget=0)
+    with pytest.raises(InvalidArgument, match="cell budget must be >= 0, got -1"):
+        enumerate_class(chain3, 2, "monotone", cell_budget=-1)
 
 
 def test_count_budget(chain2):
