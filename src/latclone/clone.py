@@ -507,14 +507,11 @@ def verify_generation(
     )
 
 
-def format_closure_report(report: ClosureReport, counterexamples=()) -> str:
-    lines = [
+def format_closure_report(report: ClosureReport) -> str:
+    return (
         f"reached={len(report.reached)} rounds={report.rounds} "
-        f"budget_hit={str(report.budget_hit).lower()}"
-    ]
-    for f in counterexamples:
-        lines.append(format_function(f).rstrip("\n"))
-    return "\n".join(lines) + "\n"
+        f"budget_hit={str(report.budget_hit).lower()}\n"
+    )
 
 
 def format_verification_report(report: VerificationReport) -> str:

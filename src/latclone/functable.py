@@ -43,6 +43,13 @@ def tuple_index(m: int, xs) -> int:
     return idx
 
 
+def check_elements(lat: Lattice, xs) -> None:
+    """Raise IndexOutOfRange unless every entry of xs is an element of lat."""
+    m = lat.size
+    if not all(0 <= x < m for x in xs):
+        raise IndexOutOfRange(f"argument {tuple(xs)} outside 0..{m - 1}")
+
+
 _Cells = namedtuple("_Cells", "below diagonal lows highs allowed")
 
 
@@ -156,6 +163,7 @@ class FnTable:
     def __call__(self, xs) -> int:
         if len(xs) != self.arity:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(xs)}")
+        check_elements(self.lattice, xs)
         return self.values[tuple_index(self.lattice.size, xs)]
 
     @property

@@ -12,8 +12,9 @@ Four kinds of generators, each identified by a GeneratorSpec:
                        the constant a elsewhere.
 
 Specs carry element *labels* so that terms can be printed and re-parsed
-without a lattice in hand; every evaluation resolves labels against the
-lattice it is given.
+without a lattice in hand.  A spec's table resolves them against its lattice
+and is built in closed form from the cell record of L^n (functable._cells);
+evaluating a spec reads that table.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .errors import (
 )
 from .functable import (
     FnTable,
+    _cells,
     _check_same_lattice,
     check_idempotent_aggregation,
-    from_callable,
     is_aggregation,
     tuple_index,
 )
@@ -90,51 +91,45 @@ class GeneratorSpec:
             raise InvalidSpec(str(exc))
         return bound, target
 
-    def _formula(self, lat: Lattice):
-        """The generator's defining formula on element indices, as a function
-        of the argument tuple, with the labels resolved once."""
-        bound, target = self.resolve(lat)
-        leq, bottom, top = lat.leq_table, lat.bottom, lat.top
-        if self.kind in ("chi", "iota"):
-            join_all, meet_t = lat.join_all, lat.meet_table
-
-            def threshold(args):
-                jx = join_all(args)
-                if all(leq[x][a] for x, a in zip(args, bound)):
-                    return meet_t[target][jx]
-                return jx
-
-            return threshold
-        (a,) = bound
-        if self.kind == "mu":
-            return lambda args: bottom if leq[args[0]][a] and args[0] != top else top
-
-        def oplus(args):
-            x, y = args
-            if x == top and y == top:
-                return top
-            if x == bottom and y == bottom:
-                return bottom
-            return a
-
-        return oplus
-
     def apply(self, lat: Lattice, args) -> int:
-        """Evaluate the generator's defining formula on element indices."""
+        """The generator's value at the element indices args, from its table."""
         if len(args) != self.arity:
             raise InvalidSpec(
                 f"{self.format()} takes {self.arity} arguments, got {len(args)}"
             )
-        return self._formula(lat)(args)
+        return self.table(lat)(args)
 
     def table(self, lat: Lattice) -> FnTable:
-        """The generator's table on lat, built once per lattice instance."""
+        """The generator's table on lat in closed form, built once per
+        lattice instance: a chi or iota cell holds the join of its tuple,
+        met with the target on the cells below the threshold."""
         cache = lat.__dict__.setdefault("_spec_table_cache", {})
         if self not in cache:
-            cache[self] = from_callable(
-                lat, self.arity, self._formula(lat), name=self.format()
-            )
+            bound, target = self.resolve(lat)
+            m, bottom, top = lat.size, lat.bottom, lat.top
+            if self.kind in ("chi", "iota"):
+                values = list(_cells(lat, self.arity).highs)
+                for k in _cells_below(lat, bound):
+                    values[k] = lat.meet_table[target][values[k]]
+            elif self.kind == "mu":
+                values = [bottom if lat.leq(x, bound[0]) and x != top else top
+                          for x in range(m)]
+            else:  # oplus; the cell of (x, x) is x*(m+1)
+                values = [bound[0]] * (m * m)
+                values[bottom * (m + 1)], values[top * (m + 1)] = bottom, top
+            cache[self] = FnTable(lat, self.arity, tuple(values), name=self.format())
         return cache[self]
+
+
+def _cells_below(lat: Lattice, a) -> list[int]:
+    """The cells of L^n whose tuple lies below the n-tuple a, in cell order;
+    as in functable._cells, cell r*m + x extends cell r by x."""
+    m, leq = lat.size, lat.leq_table
+    cells = [0]
+    for ceiling in a:
+        downs = [x for x in range(m) if leq[x][ceiling]]
+        cells = [r * m + x for r in cells for x in downs]
+    return cells
 
 
 def parse_spec(token: str) -> GeneratorSpec:
@@ -147,8 +142,8 @@ def parse_spec(token: str) -> GeneratorSpec:
     target = None
     if ";" in inner:
         inner, _, target = inner.rpartition(";")
-    bound = tuple(lab for lab in inner.split(",") if lab != "")
-    if not bound or (target is not None and target == ""):
+    bound = tuple(inner.split(","))
+    if "" in bound or target == "":
         raise InvalidSpec(f"malformed generator spec {token!r}")
     return GeneratorSpec(kind, bound, target)
 
@@ -239,22 +234,18 @@ def h_id(f: FnTable, a) -> FnTable:
 
 
 def h_agg(f: FnTable, a) -> FnTable:
-    """Largest aggregation function agreeing with f at a (piecewise table)."""
+    """Largest aggregation function agreeing with f at a: f(a) on the cells
+    below a, top elsewhere, and bottom at the all-bottom cell."""
     if not is_aggregation(f):
         raise NotAggregation("h_agg needs an aggregation function")
     lat = f.lattice
     a = tuple(a)
     fa = f(a)
-    bottoms = (lat.bottom,) * f.arity
-
-    def cell(xs):
-        if xs == bottoms:
-            return lat.bottom
-        if lat.leq_tuple(xs, a):
-            return fa
-        return lat.top
-
-    return from_callable(lat, f.arity, cell)
+    values = [lat.top] * len(f.values)
+    for k in _cells_below(lat, a):
+        values[k] = fa
+    values[_cells(lat, f.arity).diagonal[lat.bottom]] = lat.bottom
+    return FnTable(lat, f.arity, tuple(values))
 
 
 def reduce_iota_pair(lat: Lattice, a: int, b: int, c: int, d: int):

@@ -19,6 +19,7 @@ from .functable import (
     _refuse_delattr,
     _refuse_setattr,
     all_tuples,
+    check_elements,
     compose_values,
     join_fn,
     meet_fn,
@@ -188,7 +189,9 @@ def _tabulate(t: Term, lat: Lattice, points, memo) -> tuple[int, ...]:
 
 def evaluate(t: Term, lat: Lattice, xs) -> int:
     """Evaluate the term at the tuple xs of element indices."""
-    return _tabulate(t, lat, [tuple(xs)], {})[0]
+    xs = tuple(xs)
+    check_elements(lat, xs)
+    return _tabulate(t, lat, [xs], {})[0]
 
 
 def to_table(t: Term, lat: Lattice, n: int) -> FnTable:

@@ -6,6 +6,7 @@ import pytest
 from latclone import (
     chain,
     enumerate_class,
+    from_covers,
     h_agg,
     h_id,
     h_majorant,
@@ -19,6 +20,7 @@ from latclone import (
     make_mu,
     make_oplus,
     meet_fn,
+    n5,
     pointwise_meet,
     projection,
     reduce_iota_pair,
@@ -27,6 +29,7 @@ from latclone import (
 from latclone.errors import (
     ArityMismatch,
     EmptyAgreementSet,
+    IndexOutOfRange,
     InvalidSize,
     InvalidSpec,
     LatticeMismatch,
@@ -280,6 +283,15 @@ def test_spec_text_round_trip(pentagon):
     assert chi.arity == 2 and chi.target == "1"
 
 
+@pytest.mark.parametrize("token", [
+    "iota[0,,1,2;1]", "iota[,0,1,2;1]", "chi[0,1,;1]", "mu[a,]", "oplus[,1]",
+    "mu[]", "chi[;1]", "chi[0;]",
+])
+def test_parse_spec_refuses_empty_labels(token):
+    with pytest.raises(InvalidSpec, match="malformed generator spec"):
+        parse_spec(token)
+
+
 def reference_apply(spec, lat, args):
     """Slow reference: each generator's defining formula, resolving the
     labels on every call."""
@@ -301,11 +313,15 @@ def reference_apply(spec, lat, args):
     return a
 
 
-@pytest.mark.parametrize("lat", [chain(2), chain(3), m_lattice(2)], ids=lambda l: l.name)
+@pytest.mark.parametrize(
+    "lat",
+    [chain(2), chain(3), m_lattice(2), m_lattice(3), n5(), from_covers(["0"], [], name="one")],
+    ids=lambda l: l.name,
+)
 def test_spec_tables_and_apply_match_reference(lat):
     m = lat.size
     specs = [mu_spec(lat, a) for a in range(m)] + [oplus_spec(lat, a) for a in range(m)]
-    specs += [chi_spec(lat, a, b) for a in all_tuples(m, 2) for b in range(m)]
+    specs += [chi_spec(lat, a, b) for n in (1, 2, 3) for a in all_tuples(m, n) for b in range(m)]
     specs += [iota_spec(lat, *p) for p in all_tuples(m, 4)]
     for spec in specs:
         table = spec.table(lat)
@@ -313,6 +329,38 @@ def test_spec_tables_and_apply_match_reference(lat):
         for xs, v in zip(table.tuples(), table.values):
             assert v == reference_apply(spec, lat, xs) == spec.apply(lat, xs)
         assert spec.apply(lat, list(table.tuples()[-1])) == table.values[-1]
+
+
+def reference_h_agg(lat, a, fa, xs):
+    """Slow reference: the largest aggregation function taking fa at a."""
+    if all(x == lat.bottom for x in xs):
+        return lat.bottom
+    return fa if lat.leq_tuple(xs, a) else lat.top
+
+
+@pytest.mark.parametrize("lat", [chain(3), m_lattice(2)], ids=lambda l: l.name)
+def test_h_agg_matches_reference_at_every_anchor(lat):
+    points = all_tuples(lat.size, 2)
+    expected = {}  # by definition h_agg(f, a) depends on a and f(a) alone
+    for f in enumerate_class(lat, 2, "aggregation"):
+        for a in points:
+            key = a, f(a)
+            if key not in expected:
+                expected[key] = tuple(reference_h_agg(lat, *key, xs) for xs in points)
+            assert h_agg(f, a).values == expected[key]
+
+
+def test_out_of_range_points_are_refused(chain2):
+    join = join_fn(chain2)
+    for call in (
+        lambda: join((0, 2)),
+        lambda: join((1, -1)),
+        lambda: h_id(join, (1, -1)),
+        lambda: h_agg(join, (0, 5)),
+        lambda: iota_spec(chain2, 0, 0, 1, 1).apply(chain2, (0, 1, 2)),
+    ):
+        with pytest.raises(IndexOutOfRange):
+            call()
 
 
 def test_apply_argument_errors(chain3):

@@ -23,7 +23,13 @@ from latclone import (
     simplify,
     to_table,
 )
-from latclone.errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
+from latclone.errors import (
+    ArityMismatch,
+    IndexOutOfRange,
+    InvalidSpec,
+    ParseError,
+    TermSyntaxError,
+)
 from latclone.generators import iota_spec, parse_spec
 from latclone.functable import all_tuples
 from latclone.terms import (
@@ -62,6 +68,12 @@ def test_eval_basics(chain3):
 def test_eval_arity_error(chain3):
     with pytest.raises(ArityMismatch):
         evaluate(Var(3), chain3, (0, 1))
+
+
+def test_eval_refuses_points_outside_the_lattice(chain2):
+    for t, xs in ((Var(1), (7,)), (Meet(Var(1), Var(2)), (0, 7)), (Var(1), (-1,))):
+        with pytest.raises(IndexOutOfRange):
+            evaluate(t, chain2, xs)
 
 
 def test_deep_term_tabulates_without_recursion(chain3):
@@ -240,6 +252,8 @@ def test_parse_errors_report_position():
     for text in ("x²", "(meet x1 x١)", "x" + "1" * 5000):
         with pytest.raises(TermSyntaxError):
             parse_term(text, 2)
+    with pytest.raises(TermSyntaxError, match="malformed generator spec"):
+        parse_term("(iota[0,,1,2;1] x1 x2 x3)", 3)
 
 
 def test_size_and_depth(chain3):
