@@ -9,6 +9,7 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import clone, decompose, functable, generators, lattice, terms
@@ -134,7 +135,10 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it
+    as it was, as the append action copies its default list."""
     parser = argparse.ArgumentParser(
         prog="latclone",
         description="Workbench for idempotent aggregation functions on finite lattices.",

@@ -486,15 +486,15 @@ def verify_generation(
     tabulates back from its reduced decomposition term, the meet of its
     anchor operands; _unrecovered checks this without building the term.
     """
-    ids = enumerate_class(lat, n, "idempotent")
+    ids = list(enumerate_class(lat, n, "idempotent"))  # each member built once
     base = [meet_fn(lat), join_fn(lat)]
     base += [spec.table(lat) for spec in reduced_generator_set(lat)]
     report = certify(base, ids, budget)
     closure_pass = len(report.reached) == len(ids)
 
     bad_decompositions = _unrecovered(lat, n, ids)
-    counterexamples = bad_decompositions + [
-        f for f in ids if not closure_pass and f.key() not in report.keys]
+    uncertified = [] if closure_pass else [f for f in ids if f.key() not in report.keys]
+    counterexamples = bad_decompositions + uncertified
 
     return VerificationReport(
         lattice_name=lat.name,

@@ -10,7 +10,9 @@ lattice) linearly extends the product order on L^n.
 from __future__ import annotations
 
 import itertools
+import struct
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache
 from operator import getitem
@@ -20,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     IndexOutOfRange,
     InvalidArgument,
+    InvalidSize,
     LatticeMismatch,
     NotIdempotent,
     ParseError,
@@ -400,13 +403,17 @@ def iter_monotone_values(
     record = _cells(lat, n)
     pinned = range(m) if diagonal else (bottom, lat.top) if boundary else ()
     pins = {record.diagonal[x]: x for x in pinned}
+    free = range(m)
+    above = [tuple(v for v in free if leq[lb][v]) for lb in free]
     allowed = []
     for k in range(cells):
-        cands = [pins[k]] if k in pins else range(m)
+        cands = [pins[k]] if k in pins else free
         if interval:
             lo, hi = record.lows[k], record.highs[k]
             cands = [v for v in cands if leq[lo][v] and leq[v][hi]]
-        allowed.append([tuple(v for v in cands if leq[lb][v]) for lb in range(m)])
+        # the candidates above each lower bound, one shared list for free cells
+        allowed.append(above if cands is free
+                       else [tuple(v for v in cands if leq[lb][v]) for lb in free])
     rows = len(lower_rows)
     bottom_row = (bottom,) * m
     joins = {}  # pointwise joins of two rows; the same pairs recur often
@@ -483,16 +490,71 @@ _CLASS_FLAGS = {
 }
 
 
+class PackedClass(Sequence):
+    """A read-only sequence of n-ary functions on a lattice, kept as one
+    bytes buffer that holds each member's value vector as m**n fixed-width
+    fields, one byte per field when m <= 256.  A member becomes an FnTable
+    only when it is read.  Slices, of any step, share the buffer; adding
+    another sequence gives a list.  Only enumerate_class builds one, since
+    members skip the FnTable checks that its walk has made."""
+
+    __slots__ = ("_lattice", "_arity", "_buffer", "_vector", "_offsets")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a PackedClass is built only by enumerate_class")
+
+    @classmethod
+    def _trusted(cls, lat: Lattice, n: int, buffer: bytes, vector: struct.Struct,
+                 offsets: range) -> PackedClass:
+        packed = object.__new__(cls)
+        packed._lattice, packed._arity = lat, n
+        packed._buffer, packed._vector, packed._offsets = buffer, vector, offsets
+        return packed
+
+    @property
+    def lattice(self) -> Lattice:
+        return self._lattice
+
+    @property
+    def arity(self) -> int:
+        return self._arity
+
+    def __len__(self) -> int:
+        return len(self._offsets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PackedClass._trusted(self._lattice, self._arity, self._buffer,
+                                        self._vector, self._offsets[index])
+        values = self._vector.unpack_from(self._buffer, self._offsets[index])
+        return _member(self._lattice, self._arity, values)
+
+    def __iter__(self):
+        repeat = itertools.repeat
+        return map(_member, repeat(self._lattice), repeat(self._arity), self.vectors())
+
+    def vectors(self):
+        """The members' value vectors in order, without building FnTables."""
+        return map(self._vector.unpack_from, itertools.repeat(self._buffer), self._offsets)
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+
+_PACK_CHUNK = 8192  # vectors per bytes.join, which lists its input before joining
+
+
 def enumerate_class(
     lat: Lattice,
     n: int,
     cls: str,
     cell_budget: int = DEFAULT_CELL_BUDGET,
     count_budget: int = DEFAULT_COUNT_BUDGET,
-) -> list[FnTable]:
+) -> PackedClass:
     """All n-ary functions of the given class, in lexicographic order of
-    value vectors.  For the idempotent class the diagonal is pinned and
-    candidates confined to [meet(x), join(x)].
+    value vectors, as one packed buffer.  For the idempotent class the
+    diagonal is pinned and candidates confined to [meet(x), join(x)].
+    The result compares by identity; list() of it gives a list.
 
     Members skip the FnTable constructor's checks: the walk range-checks
     every row it yields, every vector is the same whole number of rows
@@ -504,17 +566,27 @@ def enumerate_class(
     for label, budget in (("cell", cell_budget), ("count", count_budget)):
         if budget < 0:
             raise InvalidArgument(f"{label} budget must be >= 0, got {budget}")
+    m = lat.size
+    if m > 1 << 16:
+        raise InvalidSize(f"a class is packed in two-byte fields, so m <= 65536, got {m}")
     vectors = iter_monotone_values(
         lat, n, cell_budget=cell_budget, **_CLASS_FLAGS[cls]
     )
-    out = [_member(lat, n, v) for v in itertools.islice(vectors, count_budget)]
+    head = list(itertools.islice(vectors, 1))
+    if head and len(head[0]) != m**n:
+        raise ArityMismatch(
+            f"value vector has {len(head[0])} entries, expected {m**n}"
+        )
+    vectors = itertools.chain(head, vectors)
+    vector = struct.Struct(f"={m**n}{'B' if m <= 1 << 8 else 'H'}")
+    packed = itertools.starmap(vector.pack, itertools.islice(vectors, count_budget))
+    chunks = []
+    while chunk := b"".join(itertools.islice(packed, _PACK_CHUNK)):
+        chunks.append(chunk)
     if next(vectors, None) is not None:
         raise BudgetExceeded(f"class size exceeds the count budget {count_budget}")
-    if out and len(out[0].values) != lat.size**n:
-        raise ArityMismatch(
-            f"value vector has {len(out[0].values)} entries, expected {lat.size**n}"
-        )
-    return out
+    buffer = b"".join(chunks)
+    return PackedClass._trusted(lat, n, buffer, vector, range(0, len(buffer), vector.size))
 
 
 def parse_function(text: str, lat: Lattice) -> FnTable:

@@ -26,6 +26,7 @@ from operator import itemgetter
 from .errors import (
     ArityMismatch,
     EmptyAgreementSet,
+    InvalidArgument,
     InvalidSize,
     InvalidSpec,
     NotAggregation,
@@ -33,13 +34,14 @@ from .errors import (
 )
 from .functable import (
     FnTable,
+    PackedClass,
     _cells,
     _check_same_lattice,
     check_idempotent_aggregation,
     is_aggregation,
     tuple_index,
 )
-from .lattice import Lattice
+from .lattice import Lattice, check_label
 
 KINDS = ("chi", "iota", "mu", "oplus")
 _FIXED_ARITY = {"iota": 3, "mu": 1, "oplus": 2}
@@ -71,6 +73,12 @@ class GeneratorSpec:
                 raise InvalidSpec("iota takes three threshold parameters")
             if self.kind == "chi" and len(self.bound) < 1:
                 raise InvalidSpec("chi needs a nonempty threshold tuple")
+        # labels obey the lattice's label grammar, so printed terms parse back
+        for label in self.bound if self.target is None else (*self.bound, self.target):
+            try:
+                check_label("generator label", label)
+            except InvalidArgument as exc:
+                raise InvalidSpec(str(exc)) from None
 
     @property
     def arity(self) -> int:
@@ -208,12 +216,16 @@ def h_majorant(pool, f: FnTable, a) -> FnTable:
     With pool a composition-closed class containing f, this is the largest
     class member taking the value f(a) at a.
     """
-    pool = list(pool)
-    _check_same_lattice(f, *pool)
-    if any(g.arity != f.arity for g in pool):
+    if isinstance(pool, PackedClass):  # one lattice and arity for every member
+        members, vectors = pool[:1], pool.vectors()
+    else:
+        members = list(pool)
+        vectors = [g.values for g in members]
+    _check_same_lattice(f, *members)
+    if any(g.arity != f.arity for g in members):
         raise ArityMismatch(f"pool members must have the arity {f.arity} of f")
     fa, k, join_t = f(a), tuple_index(f.lattice.size, a), f.lattice.join_table
-    agreeing = [g.values for g in pool if g.values[k] == fa]
+    agreeing = [values for values in vectors if values[k] == fa]
     if not agreeing:
         raise EmptyAgreementSet(f"no pool member takes value {fa} at {a}")
     # a cell's join over the members is the join of its distinct values

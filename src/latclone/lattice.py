@@ -202,32 +202,36 @@ def from_covers(labels, covers, name: str = "lattice") -> Lattice:
         for hi in succs[lo]:
             new_succs[rank[lo]].add(rank[hi])
 
-    # reflexive-transitive closure; process in reverse topological order
-    up: list[set[int]] = [set() for _ in range(m)]
+    # reflexive-transitive closure as bit masks, bit y of up[x] set iff
+    # x <= y; processed in reverse topological order
+    up = [0] * m
     for v in range(m - 1, -1, -1):
-        up[v].add(v)
         for w in new_succs[v]:
             up[v] |= up[w]
-    leq = tuple(tuple(y in up[x] for y in range(m)) for x in range(m))
+        up[v] |= 1 << v
+    leq = tuple(tuple(bool(up[x] >> y & 1) for y in range(m)) for x in range(m))
+    down = [sum(1 << x for x in range(m) if leq[x][y]) for y in range(m)]
 
+    # the join of x and y is the element whose up-set is the elements above
+    # both, if there is one, and the meet dually
+    by_up = {mask: z for z, mask in enumerate(up)}
+    by_down = {mask: z for z, mask in enumerate(down)}
     meet_rows, join_rows = [], []
     for x in range(m):
         meet_row, join_row = [], []
         for y in range(m):
-            ups = [z for z in range(m) if leq[x][z] and leq[y][z]]
-            lub = [z for z in ups if all(leq[z][w] for w in ups)]
-            if len(lub) != 1:
+            lub = by_up.get(up[x] & up[y])
+            if lub is None:
                 raise NotALattice(
                     f"join({new_labels[x]},{new_labels[y]}) undefined"
                 )
-            lows = [z for z in range(m) if leq[z][x] and leq[z][y]]
-            glb = [z for z in lows if all(leq[w][z] for w in lows)]
-            if len(glb) != 1:
+            glb = by_down.get(down[x] & down[y])
+            if glb is None:
                 raise NotALattice(
                     f"meet({new_labels[x]},{new_labels[y]}) undefined"
                 )
-            meet_row.append(glb[0])
-            join_row.append(lub[0])
+            meet_row.append(glb)
+            join_row.append(lub)
         meet_rows.append(tuple(meet_row))
         join_rows.append(tuple(join_row))
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from latclone import format_function, format_lattice, n5, to_table
+from latclone import enumerate_class, format_function, format_lattice, n5, to_table
 from latclone.cli import load_lattice, main
 from latclone.errors import LatcloneError
 from latclone.functable import from_callable
@@ -79,6 +79,12 @@ def test_enum_count(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "count=64"
+
+
+def test_enum_counts_n5_binary_idempotent_class(capsys):
+    code, out, _ = run(
+        capsys, ["enum", "--lattice", "n5", "--arity", "2", "--class", "idempotent"])
+    assert (code, out) == (0, "count=280592\n")
 
 
 def test_enum_emit_tables(capsys):
@@ -279,6 +285,29 @@ def test_closure_extra_fn_file(capsys, median_file):
     )
     assert code in (0, 3)
     assert out.startswith("reached=")
+
+
+def test_successive_calls_match_separate_processes(capsys, tmp_path):
+    # the parser is built once per process, so no --fn-file list of one call
+    # may reach the next: each closure below has a different size
+    ids = enumerate_class(chain(3), 2, "idempotent")
+    paths = []
+    for i in (1, 2, 20):
+        path = tmp_path / f"g{i}.fn"
+        path.write_text(format_function(ids[i].renamed(f"g{i}")))
+        paths.append(str(path))
+    closure = ["closure", "--lattice", "chain:3", "--arity", "2"]
+    calls = [[*closure, "--fn-file", paths[0], "--fn-file", paths[1]],
+             [*closure, "--fn-file", paths[2]],
+             closure]
+    together = [run(capsys, argv)[:2] for argv in calls]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    apart = [subprocess.run([sys.executable, "-m", "latclone.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=60)
+             for argv in calls]
+    assert together == [(done.returncode, done.stdout) for done in apart]
+    assert [out.split()[0] for _, out in together] == [
+        "reached=36", "reached=16", "reached=4"]
 
 
 def test_count_single_and_range(capsys):

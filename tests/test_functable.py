@@ -3,6 +3,7 @@ import random
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,10 +34,13 @@ from latclone.errors import (
     BudgetExceeded,
     IndexOutOfRange,
     InvalidArgument,
+    InvalidSize,
     LatticeMismatch,
     ParseError,
 )
 from latclone.functable import (
+    CLASSES,
+    PackedClass,
     _cells,
     _packer,
     all_tuples,
@@ -439,6 +443,8 @@ def test_count_budget_stops_a_huge_class_at_once():
         (chain(4), 2, ("monotone", "aggregation", "idempotent")),
         (m_lattice(2), 2, ("monotone", "aggregation", "idempotent")),
         (chain(3), 3, ("idempotent",)),
+        (chain(2), 3, ("monotone", "aggregation", "idempotent")),
+        (n5(), 1, ("monotone", "aggregation", "idempotent")),
     ],
     ids=lambda v: getattr(v, "name", str(v)),
 )
@@ -450,6 +456,88 @@ def test_class_members_equal_checked_tables(lat, n, classes):
             assert f.lattice is lat and f.arity == n and f.name == "f"
             assert f.lookup(middle) == f(middle)
             assert f.key() == (n, f.values)
+
+
+# The packed class against the walk it packs.  The classes listed here have
+# more than 300 000 members, too many to list twice; for them only the count
+# budget is checked.  The cell budget is raised so n5 at arity 3 is walked.
+LARGE_CLASSES = {*itertools.product(("chain4", "m2", "n5"), [3], CLASSES),
+                 ("n5", 2, "aggregation"), ("n5", 2, "monotone")}
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lat", [chain(2), chain(3), chain(4), m_lattice(2), n5()],
+                         ids=lambda lat: lat.name)
+def test_packed_class_holds_the_walk_in_order(lat, n, cls):
+    cells = lat.size**n
+    if (lat.name, n, cls) in LARGE_CLASSES:
+        with pytest.raises(BudgetExceeded):
+            enumerate_class(lat, n, cls, cell_budget=cells, count_budget=1000)
+        return
+    fns = enumerate_class(lat, n, cls, cell_budget=cells)
+    vectors = list(iter_monotone_values(lat, n, cell_budget=cells, **REFERENCE_FLAGS[cls]))
+    assert isinstance(fns, PackedClass) and len(fns) == len(vectors)
+    assert [f.values for f in fns] == vectors
+
+
+def test_packed_class_is_a_read_only_sequence(chain3):
+    fns = enumerate_class(chain3, 2, "idempotent")
+    tables = list(fns)
+    values = [f.values for f in tables]
+    assert len(fns) == len(tables) == 64 and fns
+    for i in (0, 1, 37, 63, -1, -2, -64):
+        assert fns[i] == tables[i] and fns[i].values == values[i]
+    for i in (64, 1000, -65):
+        with pytest.raises(IndexError):
+            fns[i]
+    with pytest.raises(TypeError):
+        fns["1"]
+    for part in (slice(None), slice(None, None, -1), slice(3, 40, 7), slice(50, 5, -3),
+                 slice(-10, None), slice(5, 2), slice(100, None), slice(None, None, 64)):
+        sliced = fns[part]
+        assert isinstance(sliced, PackedClass)
+        assert [f.values for f in sliced] == values[part] == list(sliced.vectors())
+        assert len(sliced) == len(values[part])
+    twice = fns[::-3][2:9:2]
+    assert [f.values for f in twice] == values[::-3][2:9:2]
+    assert twice[-1].values == values[::-3][2:9:2][-1]
+    with pytest.raises(ValueError):
+        fns[::0]
+    sample = random.Random(1).sample(fns, 10)
+    assert len({f.values for f in sample}) == 10 and all(f in fns for f in sample)
+    extra = projection(chain3, 2, 1)
+    joined = fns + [extra]
+    assert type(joined) is list and joined == tables + [extra]
+    assert fns[:2] + fns[-1:] == [tables[0], tables[1], tables[-1]]
+    assert [f.values for f in reversed(fns)] == values[::-1]
+    assert fns.index(tables[5]) == 5 and fns.count(tables[5]) == 1
+    assert fns.lattice is chain3 and fns.arity == 2
+    with pytest.raises(TypeError):
+        fns[0] = tables[1]
+    with pytest.raises(AttributeError):
+        fns.extra = 1
+    with pytest.raises(AttributeError):
+        fns.lattice = chain(2)
+    with pytest.raises(AttributeError):
+        fns.arity = 1
+    assert fns.lattice is chain3 and fns.arity == 2 and fns[0] == tables[0]
+    with pytest.raises(TypeError, match="only by enumerate_class"):
+        PackedClass(chain3, 1, bytes(3), None, range(1))
+
+
+def test_packed_class_takes_wider_fields_beyond_256_elements():
+    lat = chain(300)
+    identity = enumerate_class(lat, 1, "idempotent", cell_budget=300)
+    # values 256 .. 299 need two-byte fields
+    assert len(identity) == 1 and identity[0].values == tuple(range(300))
+    assert identity[0] == FnTable(lat, 1, tuple(range(300)))
+    with pytest.raises(BudgetExceeded, match="count budget 10"):
+        enumerate_class(lat, 1, "aggregation", cell_budget=300, count_budget=10)
+    # past 65536 elements a field would need more than two bytes; such a
+    # lattice's tables are too large to build, so a stand-in gives its size
+    with pytest.raises(InvalidSize, match="65536"):
+        enumerate_class(SimpleNamespace(size=65537), 1, "idempotent")
 
 
 def test_function_tables_are_immutable(chain3):

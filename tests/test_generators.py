@@ -36,6 +36,7 @@ from latclone.errors import (
     NotAggregation,
     NotIdempotent,
     PreconditionViolated,
+    TermSyntaxError,
 )
 from latclone.functable import FnTable, all_tuples, from_callable, leq_pointwise
 from latclone.generators import (
@@ -48,6 +49,7 @@ from latclone.generators import (
     oplus_spec,
     parse_spec,
 )
+from latclone.terms import parse_term
 
 
 def test_chi_cases(chain3):
@@ -135,9 +137,12 @@ def test_h_majorant_hand_example(chain2):
 
 def test_h_majorant_majorizes_pool_member(chain3):
     pool = enumerate_class(chain3, 2, "idempotent")
+    members = list(pool)
     for f in pool[::7]:
         for a in all_tuples(3, 2):
-            assert leq_pointwise(f, h_majorant(pool, f, a))
+            h = h_majorant(pool, f, a)
+            assert leq_pointwise(f, h)
+            assert h == h_majorant(members, f, a)  # the packed pool reads its vectors
 
 
 def test_h_majorant_empty_agreement(chain2):
@@ -154,6 +159,10 @@ def test_h_majorant_rejects_a_pool_member_of_another_shape(chain2, chain3):
         h_majorant(pool + [projection(chain3, 3, 1)], f, (0, 1))
     with pytest.raises(LatticeMismatch):
         h_majorant(pool + [join_fn(chain2)], f, (0, 1))
+    with pytest.raises(ArityMismatch):
+        h_majorant(enumerate_class(chain3, 1, "idempotent"), f, (0, 1))
+    with pytest.raises(LatticeMismatch):
+        h_majorant(enumerate_class(chain2, 2, "idempotent"), f, (0, 1))
 
 
 def test_recovery_from_majorants(chain3):
@@ -290,6 +299,24 @@ def test_spec_text_round_trip(pentagon):
 def test_parse_spec_refuses_empty_labels(token):
     with pytest.raises(InvalidSpec, match="malformed generator spec"):
         parse_spec(token)
+
+
+@pytest.mark.parametrize("kind, bound, target", [
+    ("mu", ("a b",), None), ("oplus", ("a#",), None), ("mu", ("",), None),
+    ("chi", ("0;1",), "2"), ("chi", ("0", "1"), "x->y"), ("iota", ("0", "1", "(2)"), "1"),
+    ("iota", ("0", "1", "2"), "1\n"),
+])
+def test_spec_refuses_labels_outside_the_label_grammar(kind, bound, target):
+    with pytest.raises(InvalidSpec, match="bad generator label"):
+        GeneratorSpec(kind, bound, target)
+
+
+def test_parse_spec_refuses_a_label_holding_a_delimiter():
+    # 'chi[0;1;2]' would otherwise give a chi with the label '0;1'
+    with pytest.raises(InvalidSpec, match="bad generator label '0;1'"):
+        parse_spec("chi[0;1;2]")
+    with pytest.raises(TermSyntaxError, match="bad generator label"):
+        parse_term("(chi[0;1;2] x1)", 1)
 
 
 def reference_apply(spec, lat, args):

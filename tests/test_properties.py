@@ -21,10 +21,19 @@ from latclone import (
     parse_function,
     parse_lattice,
     parse_term,
+    print_term,
 )
-from latclone.errors import InvalidArgument, LatcloneError
-from latclone.lattice import LABEL_RESERVED
-from latclone.generators import KINDS, chi_spec, iota_spec, mu_spec, oplus_spec
+from latclone.errors import InvalidArgument, InvalidSpec, LatcloneError
+from latclone.lattice import LABEL_RESERVED, check_label
+from latclone.generators import (
+    KINDS,
+    GeneratorSpec,
+    chi_spec,
+    iota_spec,
+    mu_spec,
+    oplus_spec,
+    parse_spec,
+)
 from latclone.terms import format_term_file, parse_term_file
 
 LATTICES = [chain(2), chain(3), chain(4), m_lattice(1), m_lattice(2), m_lattice(3), n5()]
@@ -166,3 +175,36 @@ def test_lattice_files_parse_back(case):
     assert (back.name, back.labels, back.leq_table) == (name, relabelled.labels, lat.leq_table)
     assert [back.upper_covers(x) for x in range(back.size)] == [
         lat.upper_covers(x) for x in range(lat.size)]
+
+
+def _grammatical(label):
+    try:
+        check_label("label", label)
+    except InvalidArgument:
+        return False
+    return True
+
+
+@st.composite
+def spec_parameters(draw):
+    kind = draw(st.sampled_from(KINDS))
+    arity = {"iota": 3, "mu": 1, "oplus": 1}.get(kind) or draw(st.integers(1, 3))
+    labels = GRAMMAR_LABELS | ANY_LABELS
+    bound = tuple(draw(st.lists(labels, min_size=arity, max_size=arity)))
+    return kind, bound, None if kind in ("mu", "oplus") else draw(labels)
+
+
+@SETTINGS
+@given(spec_parameters())
+def test_generator_specs_print_back_or_are_refused(case):
+    kind, bound, target = case
+    labels = bound if target is None else (*bound, target)
+    try:
+        spec = GeneratorSpec(kind, bound, target)
+    except InvalidSpec:
+        assert not all(map(_grammatical, labels))
+        return
+    assert all(map(_grammatical, labels))
+    assert parse_spec(spec.format()) == spec
+    term = Apply(spec, [Var(i) for i in range(1, spec.arity + 1)])
+    assert parse_term(print_term(term), spec.arity) is term
