@@ -26,6 +26,7 @@ from .errors import LatcloneError
 from .functable import (
     FnTable,
     compose,
+    count_class,
     enumerate_class,
     is_aggregation,
     is_boundary,

@@ -64,13 +64,14 @@ def cmd_lattice_check(args) -> int:
 
 def cmd_enum(args) -> int:
     lat = load_lattice(args.lattice)
-    fns = functable.enumerate_class(
-        lat, args.arity, args.cls, args.cell_budget, args.count_budget
-    )
+    query = lat, args.arity, args.cls, args.cell_budget, args.count_budget
+    if not args.emit:  # a count needs no members
+        _emit(f"count={functable.count_class(*query)}\n", args.out)
+        return EXIT_OK
+    fns = functable.enumerate_class(*query)
     lines = [f"count={len(fns)}"]
-    if args.emit:
-        for i, f in enumerate(fns):
-            lines.append(functable.format_function(f.renamed(f"f{i}")).rstrip("\n"))
+    for i, f in enumerate(fns):
+        lines.append(functable.format_function(f.renamed(f"f{i}")).rstrip("\n"))
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -154,16 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enum", help="enumerate a function class")
     p_enum.add_argument("--lattice", required=True)
     p_enum.add_argument("--arity", type=int, required=True)
-    p_enum.add_argument(
-        "--class", dest="cls", required=True, choices=functable.CLASSES
-    )
+    p_enum.add_argument("--class", dest="cls", required=True, choices=functable.CLASSES)
     p_enum.add_argument("--emit", action="store_true")
-    p_enum.add_argument(
-        "--cell-budget", type=int, default=functable.DEFAULT_CELL_BUDGET
-    )
-    p_enum.add_argument(
-        "--count-budget", type=int, default=functable.DEFAULT_COUNT_BUDGET
-    )
+    p_enum.add_argument("--cell-budget", type=int, default=functable.DEFAULT_CELL_BUDGET)
+    p_enum.add_argument("--count-budget", type=int, default=functable.DEFAULT_COUNT_BUDGET)
     p_enum.add_argument("--out")
     p_enum.set_defaults(func=cmd_enum)
 

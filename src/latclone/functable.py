@@ -157,9 +157,8 @@ class FnTable:
         if self.arity < 1:
             raise ArityMismatch(f"arity must be >= 1, got {self.arity}")
         if len(self.values) != m**self.arity:
-            raise ArityMismatch(
-                f"value vector has {len(self.values)} entries, expected {m**self.arity}"
-            )
+            raise ArityMismatch(f"value vector has {len(self.values)} entries, "
+                                f"expected {m**self.arity}")
         if min(self.values) < 0 or max(self.values) >= m:
             raise IndexOutOfRange("value outside element range")
 
@@ -360,17 +359,12 @@ def leq_pointwise(f: FnTable, g: FnTable) -> bool:
 CLASSES = ("aggregation", "idempotent", "monotone")
 
 
-def iter_monotone_values(
-    lat: Lattice,
-    n: int,
-    boundary: bool = False,
-    diagonal: bool = False,
-    interval: bool = False,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-):
-    """Yield value vectors of monotone n-ary functions, optionally also
-    satisfying the boundary conditions, a pinned diagonal, or confinement of
-    every value to [meet(x), join(x)].
+def iter_monotone_values(lat: Lattice, n: int, boundary: bool = False, diagonal: bool = False,
+                         interval: bool = False, cell_budget: int = DEFAULT_CELL_BUDGET):
+    """An iterator over the value vectors of monotone n-ary functions,
+    optionally also satisfying the boundary conditions, a pinned diagonal,
+    or confinement of every value to [meet(x), join(x)], in lexicographic
+    order.  The budget and size are checked at the call.
 
     A depth-first walk over rows, kept on an explicit stack of one candidate
     iterator per row.  Row r is the m cells r*m .. r*m+m-1 that differ only
@@ -381,22 +375,39 @@ def iter_monotone_values(
     the reason is_monotone checks only cover steps.  So a row's candidates
     depend only on the rows one cover step down in the first n-1
     coordinates, its lower rows, and only through their pointwise join, the
-    row's base: they are the vectors of a cell walk over the row's m cells
+    row's base: they are the rows of a cell walk over the row's m cells
     starting from the base.  Each row keeps a memo of those candidates keyed
     by the base (on m3 at arity 2 the last row sees 39 304 tuples of lower
-    rows but 15 bases).  An entry is recorded once its walk is exhausted,
-    which the depth-first order guarantees before the row can be reached
-    again, so a walk cut short by its consumer never materialises more
-    candidates than it yielded.  The pins and intervals are folded into one
-    table of candidates per cell and lower bound.  Vectors come out in
-    lexicographic order.
-    """
+    rows but 15 bases).  The pins and intervals are folded into one table of
+    candidates per cell and lower bound.
+
+    Rows are bytes of m fields, one byte each when m <= 256 and two up to
+    65536 (more raises InvalidSize), packed once when a cell walk finds
+    them; bases, memos and prefixes are bytes too.  The walk makes blocks
+    of whole vectors, read by Struct.iter_unpack: a visit to the last row
+    makes one block of every vector under its prefix when the row's memo
+    holds its candidates, else one block per row as the cell walk finds
+    it.  A memo is recorded once its walk is exhausted, which the
+    depth-first order guarantees before the row is reached again, so a
+    consumer that stops early has made the walk find no row beyond the
+    vectors it took, and build at most one block beyond them."""
+    vector, blocks = _walk(lat, n, boundary, diagonal, interval, cell_budget)
+    return itertools.chain.from_iterable(map(vector.iter_unpack, blocks))
+
+
+def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
+          cell_budget=DEFAULT_CELL_BUDGET):
+    """The struct of one packed value vector and the blocks of the walk
+    iter_monotone_values describes; the arguments are checked at once."""
     m = lat.size
+    if m > 1 << 16:
+        raise InvalidSize(f"rows are packed in at most two-byte fields, so m <= 65536, got {m}")
     cells = m**n
     if cells > cell_budget:
-        raise BudgetExceeded(
-            f"{m}^{n} = {cells} cells exceeds the cell budget {cell_budget}"
-        )
+        raise BudgetExceeded(f"{m}^{n} = {cells} cells exceeds the cell budget {cell_budget}")
+    code = "B" if m <= 1 << 8 else "H"
+    row_struct = struct.Struct(f"={m}{code}")
+    pack, unpack = row_struct.pack, row_struct.unpack
     leq, join_t, bottom = lat.leq_table, lat.join_table, lat.bottom
     # a row is a cell of L^(n-1), and a cell of a row an element of L
     lower_covers, lower_rows = _cells(lat, 1).below, _cells(lat, n - 1).below
@@ -415,18 +426,20 @@ def iter_monotone_values(
         allowed.append(above if cands is free
                        else [tuple(v for v in cands if leq[lb][v]) for lb in free])
     rows = len(lower_rows)
-    bottom_row = (bottom,) * m
+    last = rows - 1
+    bottom_row = pack(*(bottom,) * m)
     joins = {}  # pointwise joins of two rows; the same pairs recur often
+    memos = [{} for _ in range(rows)]
+    chosen = [None] * rows
 
     def row_walk(r, base):
         """The cell walk over row r from base, range-checking each row it
-        yields and recording them all in memos[r][base] once it is
-        exhausted."""
-        allow = allowed[r * m:(r + 1) * m]
+        packs and recording them all in memos[r][base] once exhausted."""
+        allow, lows = allowed[r * m:(r + 1) * m], unpack(base)
         seen = []
         assigned = [0] * m
         candidates = [None] * m
-        candidates[0] = iter(allow[0][base[0]])
+        candidates[0] = iter(allow[0][lows[0]])
         j = 0
         while j >= 0:
             v = next(candidates[j], None)
@@ -435,59 +448,61 @@ def iter_monotone_values(
                 continue
             assigned[j] = v
             if j == m - 1:
-                row = tuple(assigned)
-                if min(row) < 0 or max(row) >= m:
+                if min(assigned) < 0 or max(assigned) >= m:
                     raise IndexOutOfRange("value outside element range")
+                row = pack(*assigned)
                 seen.append(row)
                 yield row
                 continue
             j += 1
-            lb = base[j]
+            lb = lows[j]
             for c in lower_covers[j]:
                 lb = join_t[lb][assigned[c]]
             candidates[j] = iter(allow[j][lb])
         memos[r][base] = seen
 
     def row_candidates(r):
+        """Row r's candidates: the memo's list for the last row, else an iterator."""
         base = bottom_row
         for q in lower_rows[r]:
             pair = base, chosen[q]
             base = joins.get(pair)
             if base is None:
-                base = joins[pair] = tuple(
-                    map(getitem, map(join_t.__getitem__, pair[0]), pair[1])
-                )
+                base = joins[pair] = pack(*map(getitem, map(join_t.__getitem__, unpack(pair[0])),
+                                               unpack(pair[1])))
         seen = memos[r].get(base)
-        if seen is not None:
-            return iter(seen)
-        return row_walk(r, base)
+        if seen is None:
+            return row_walk(r, base)
+        return seen if r == last else iter(seen)
 
-    memos = [{} for _ in range(rows)]
-    chosen = [None] * rows
-    prefixes = [()] * rows  # prefixes[r]: rows 0 .. r-1 concatenated
-    candidates = [None] * rows
-    candidates[0] = row_candidates(0)
-    last, r = rows - 1, 0
-    while r >= 0:
-        if r == last:
-            yield from map(prefixes[r].__add__, candidates[r])
-            r -= 1
-            continue
-        row = next(candidates[r], None)
-        if row is None:
-            r -= 1
-            continue
-        chosen[r] = row
-        r += 1
-        prefixes[r] = prefixes[r - 1] + row
-        candidates[r] = row_candidates(r)
+    def blocks():
+        prefixes = [b""] * rows  # prefixes[r]: rows 0 .. r-1 concatenated
+        candidates = [None] * rows
+        candidates[0] = row_candidates(0)
+        r = 0
+        while r >= 0:
+            if r == last:
+                prefix, found = prefixes[r], candidates[r]
+                if type(found) is not list:
+                    yield from map(prefix.__add__, found)
+                elif found:
+                    yield prefix + prefix.join(found)
+                r -= 1
+                continue
+            row = next(candidates[r], None)
+            if row is None:
+                r -= 1
+                continue
+            chosen[r] = row
+            r += 1
+            prefixes[r] = prefixes[r - 1] + row
+            candidates[r] = row_candidates(r)
+
+    return struct.Struct(f"={cells}{code}"), blocks()
 
 
-_CLASS_FLAGS = {
-    "monotone": {},
-    "aggregation": {"boundary": True},
-    "idempotent": {"boundary": True, "diagonal": True, "interval": True},
-}
+_CLASS_FLAGS = {"monotone": {}, "aggregation": {"boundary": True},
+                "idempotent": {"boundary": True, "diagonal": True, "interval": True}}
 
 
 class PackedClass(Sequence):
@@ -541,24 +556,9 @@ class PackedClass(Sequence):
         return [*self, *other]
 
 
-_PACK_CHUNK = 8192  # vectors per bytes.join, which lists its input before joining
-
-
-def enumerate_class(
-    lat: Lattice,
-    n: int,
-    cls: str,
-    cell_budget: int = DEFAULT_CELL_BUDGET,
-    count_budget: int = DEFAULT_COUNT_BUDGET,
-) -> PackedClass:
-    """All n-ary functions of the given class, in lexicographic order of
-    value vectors, as one packed buffer.  For the idempotent class the
-    diagonal is pinned and candidates confined to [meet(x), join(x)].
-    The result compares by identity; list() of it gives a list.
-
-    Members skip the FnTable constructor's checks: the walk range-checks
-    every row it yields, every vector is the same whole number of rows
-    long, and the first vector's length is checked here."""
+def _class_blocks(lat: Lattice, n: int, cls: str, cell_budget: int, count_budget: int):
+    """The struct of one member's packed vector and the class's blocks, which
+    raise BudgetExceeded at the first block past count_budget members."""
     if cls not in CLASSES:
         raise InvalidArgument(f"unknown class {cls!r}; expected one of {CLASSES}")
     if n < 1:
@@ -566,27 +566,42 @@ def enumerate_class(
     for label, budget in (("cell", cell_budget), ("count", count_budget)):
         if budget < 0:
             raise InvalidArgument(f"{label} budget must be >= 0, got {budget}")
-    m = lat.size
-    if m > 1 << 16:
-        raise InvalidSize(f"a class is packed in two-byte fields, so m <= 65536, got {m}")
-    vectors = iter_monotone_values(
-        lat, n, cell_budget=cell_budget, **_CLASS_FLAGS[cls]
-    )
-    head = list(itertools.islice(vectors, 1))
-    if head and len(head[0]) != m**n:
-        raise ArityMismatch(
-            f"value vector has {len(head[0])} entries, expected {m**n}"
-        )
-    vectors = itertools.chain(head, vectors)
-    vector = struct.Struct(f"={m**n}{'B' if m <= 1 << 8 else 'H'}")
-    packed = itertools.starmap(vector.pack, itertools.islice(vectors, count_budget))
-    chunks = []
-    while chunk := b"".join(itertools.islice(packed, _PACK_CHUNK)):
-        chunks.append(chunk)
-    if next(vectors, None) is not None:
-        raise BudgetExceeded(f"class size exceeds the count budget {count_budget}")
-    buffer = b"".join(chunks)
-    return PackedClass._trusted(lat, n, buffer, vector, range(0, len(buffer), vector.size))
+    vector, blocks = _walk(lat, n, cell_budget=cell_budget, **_CLASS_FLAGS[cls])
+
+    def budgeted(room=count_budget * vector.size):
+        for block in blocks:
+            room -= len(block)
+            if room < 0:
+                raise BudgetExceeded(f"class size exceeds the count budget {count_budget}")
+            yield block
+
+    return vector, budgeted()
+
+
+def enumerate_class(lat: Lattice, n: int, cls: str, cell_budget: int = DEFAULT_CELL_BUDGET,
+                    count_budget: int = DEFAULT_COUNT_BUDGET) -> PackedClass:
+    """All n-ary functions of the given class, in lexicographic order of
+    value vectors, as one packed buffer.  For the idempotent class the
+    diagonal is pinned and candidates confined to [meet(x), join(x)].
+    The result compares by identity; list() of it gives a list.
+
+    The buffer is the walk's blocks joined, so members skip the FnTable
+    constructor's checks: the walk range-checks every row it packs, and
+    every block is whole vectors of m**n fields."""
+    vector, blocks = _class_blocks(lat, n, cls, cell_budget, count_budget)
+    buffer = bytearray()
+    for block in blocks:
+        buffer += block
+    return PackedClass._trusted(lat, n, bytes(buffer), vector,
+                                range(0, len(buffer), vector.size))
+
+
+def count_class(lat: Lattice, n: int, cls: str, cell_budget: int = DEFAULT_CELL_BUDGET,
+                count_budget: int = DEFAULT_COUNT_BUDGET) -> int:
+    """len(enumerate_class(...)) with the same checks and budgets, counted
+    from the walk's blocks without keeping them."""
+    vector, blocks = _class_blocks(lat, n, cls, cell_budget, count_budget)
+    return sum(map(len, blocks)) // vector.size
 
 
 def parse_function(text: str, lat: Lattice) -> FnTable:
@@ -602,16 +617,9 @@ def parse_function(text: str, lat: Lattice) -> FnTable:
             raise ParseError("content after 'end'", lineno)
         if header is None:
             fields = line.split()
-            if (
-                len(fields) != 6
-                or fields[0] != "function"
-                or fields[2] != "arity"
-                or fields[4] != "lattice"
-            ):
-                raise ParseError(
-                    "expected 'function <name> arity <n> lattice <lattice-name>'",
-                    lineno,
-                )
+            if len(fields) != 6 or fields[::2] != ["function", "arity", "lattice"]:
+                expected = "'function <name> arity <n> lattice <lattice-name>'"
+                raise ParseError(f"expected {expected}", lineno)
             try:
                 arity = int(fields[3])
             except ValueError:
@@ -619,10 +627,8 @@ def parse_function(text: str, lat: Lattice) -> FnTable:
             if arity < 1:
                 raise ParseError(f"arity must be >= 1, got {arity}", lineno)
             if fields[5] != lat.name:
-                raise ParseError(
-                    f"function is on lattice {fields[5]!r}, expected {lat.name!r}",
-                    lineno,
-                )
+                raise ParseError(f"function is on lattice {fields[5]!r}, "
+                                 f"expected {lat.name!r}", lineno)
             header = (fields[1], arity)
             continue
         if line == "end":
@@ -634,9 +640,7 @@ def parse_function(text: str, lat: Lattice) -> FnTable:
         in_labels = lhs.split()
         out_labels = rhs.split()
         if len(in_labels) != header[1] or len(out_labels) != 1:
-            raise ParseError(
-                f"expected {header[1]} input labels and one output label", lineno
-            )
+            raise ParseError(f"expected {header[1]} input labels and one output label", lineno)
         try:
             xs = tuple(lat.index(lab) for lab in in_labels)
             v = lat.index(out_labels[0])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from latclone import enumerate_class, format_function, format_lattice, n5, to_table
+from latclone import enumerate_class, format_function, format_lattice, functable, n5, to_table
 from latclone.cli import load_lattice, main
 from latclone.errors import LatcloneError
 from latclone.functable import from_callable
@@ -85,6 +85,17 @@ def test_enum_counts_n5_binary_idempotent_class(capsys):
     code, out, _ = run(
         capsys, ["enum", "--lattice", "n5", "--arity", "2", "--class", "idempotent"])
     assert (code, out) == (0, "count=280592\n")
+
+
+def test_enum_counts_without_building_the_class(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a count must not build the class")
+
+    monkeypatch.setattr(functable, "enumerate_class", refuse)
+    args = ["enum", "--lattice", "m:2", "--arity", "2", "--class", "aggregation"]
+    assert run(capsys, args)[:2] == (0, "count=27556\n")
+    code, out, err = run(capsys, [*args, "--count-budget", "27555"])
+    assert (code, out) == (3, "") and "count budget 27555" in err
 
 
 def test_enum_emit_tables(capsys):

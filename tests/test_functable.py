@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from latclone import (
     boolean,
     chain,
     compose,
+    count_class,
     enumerate_class,
     format_function,
     is_aggregation,
@@ -346,6 +348,20 @@ def test_count_budget(chain2):
         enumerate_class(chain2, 2, "monotone", count_budget=-1)
 
 
+@pytest.mark.parametrize("lat, n",
+                         [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4), (chain(8), 1)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_count_class_equals_the_class_length(lat, n):
+    for cls in CLASSES:
+        assert count_class(lat, n, cls) == len(enumerate_class(lat, n, cls))
+    size = count_class(lat, n, "monotone")
+    assert count_class(lat, n, "monotone", count_budget=size) == size
+    with pytest.raises(BudgetExceeded, match=f"count budget {size - 1}"):
+        count_class(lat, n, "monotone", count_budget=size - 1)
+    with pytest.raises(InvalidArgument):
+        count_class(lat, n, "monotone", count_budget=-1)
+
+
 # Classes too large to list twice are compared on a prefix: n5 has
 # 31 022 611 monotone and 30 507 204 aggregation binary functions, and
 # boolean3 at arity 2 and chain3 at arity 3 have more than 200 000 members
@@ -438,6 +454,55 @@ def test_count_budget_stops_a_huge_class_at_once():
 
 
 @pytest.mark.parametrize(
+    "lat, n, cls, cells",
+    [(chain(300), 1, "aggregation", 300), (chain(30), 2, "monotone", 900)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_a_count_budget_cut_holds_a_few_blocks(lat, n, cls, cells):
+    # both classes are astronomically large; the cut must come at the first
+    # block past the budget, not after a batch of rows or blocks
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="count budget 10"):
+            enumerate_class(lat, n, cls, cell_budget=cells, count_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def chain_binary_monotone_values(m):
+    """Independent oracle for the monotone maps from a chain's square to
+    the chain, in lexicographic order of value vectors: the successor of a
+    vector raises its last cell below the top by one and resets every later
+    cell to the least value its upper and left neighbours allow."""
+    values = [0] * (m * m)
+    while True:
+        yield tuple(values)
+        k = len(values) - 1
+        while k >= 0 and values[k] == m - 1:
+            k -= 1
+        if k < 0:
+            return
+        values[k] += 1
+        for c in range(k + 1, m * m):
+            values[c] = max(values[c - m] if c >= m else 0, values[c - 1] if c % m else 0)
+
+
+def test_two_byte_fields_at_arity_two_match_an_independent_oracle():
+    # reference_monotone_values lists every comparable earlier cell and
+    # recurses once per cell, too slow and too deep for 257^2 cells; the
+    # last cell reaches 256 in the first 257 vectors, the cell before it
+    # moves after that, and every row runs the pointwise-join memo
+    lat = chain(257)
+    fast = list(itertools.islice(iter_monotone_values(lat, 2, cell_budget=257**2), 600))
+    assert fast == list(itertools.islice(chain_binary_monotone_values(257), 600))
+    assert fast[256][-2:] == (0, 256) and fast[257][-2:] == (1, 1)
+    assert list(itertools.islice(chain_binary_monotone_values(3), 200)) == list(
+        reference_monotone_values(chain(3), 2))
+
+
+@pytest.mark.parametrize(
     "lat, n, classes",
     [
         (chain(4), 2, ("monotone", "aggregation", "idempotent")),
@@ -479,6 +544,10 @@ def test_packed_class_holds_the_walk_in_order(lat, n, cls):
     vectors = list(iter_monotone_values(lat, n, cell_budget=cells, **REFERENCE_FLAGS[cls]))
     assert isinstance(fns, PackedClass) and len(fns) == len(vectors)
     assert [f.values for f in fns] == vectors
+    # both come from one walk, so the class is also held against the
+    # independent backtracker, on a prefix for classes of over 20 000
+    slow = itertools.islice(reference_monotone_values(lat, n, **REFERENCE_FLAGS[cls]), 20000)
+    assert list(fns[:20000].vectors()) == list(slow)
 
 
 def test_packed_class_is_a_read_only_sequence(chain3):
