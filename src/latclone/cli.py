@@ -22,20 +22,26 @@ EXIT_INTERNAL = 4
 
 
 def load_lattice(spec: str) -> lattice.Lattice:
-    """Resolve 'chain:<n>', 'm:<k>', 'boolean:<k>', 'n5' or 'file:<path>'."""
+    """Resolve 'chain:<n>', 'm:<k>', 'boolean:<k>', 'n5' or 'file:<path>'.
+
+    A named lattice is built once per process, so successive commands share
+    the tables cached on it; a file is read again on every call."""
     family, _, param = spec.partition(":")
-    if family == "chain":
-        return lattice.chain(_int_param(spec, param))
-    if family == "m":
-        return lattice.m_lattice(_int_param(spec, param))
-    if family == "boolean":
-        return lattice.boolean(_int_param(spec, param))
+    if family in ("chain", "m", "boolean"):
+        return _named_lattice(family, _int_param(spec, param))
     if spec == "n5":
-        return lattice.n5()
+        return _named_lattice(spec, None)
     if family == "file":
         with open(param, encoding="utf-8") as fh:
             return lattice.parse_lattice(fh.read())
     raise LatcloneError(f"unknown lattice spec {spec!r}")
+
+
+@functools.cache
+def _named_lattice(family: str, k: int | None) -> lattice.Lattice:
+    if family == "n5":
+        return lattice.n5()
+    return {"chain": lattice.chain, "m": lattice.m_lattice, "boolean": lattice.boolean}[family](k)
 
 
 def _int_param(spec: str, param: str) -> int:

@@ -17,7 +17,8 @@ from .errors import NotAggregation, UnsupportedArity
 from .functable import FnTable, _cells, all_tuples, check_idempotent_aggregation, is_aggregation
 from .generators import iota_spec, mu_spec, oplus_spec
 from .lattice import Lattice
-from .terms import Apply, Join, Meet, Term, Var, _post_order, _tabulate, join_of, meet_of
+from .terms import (Apply, Join, Meet, Term, Var, _post_order, _table_memo, _tabulate,
+                    join_of, meet_of)
 
 
 def _decompose(f: FnTable, reduced: bool) -> Term:
@@ -120,8 +121,7 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
     dually for joins.  Purely a size optimization, applied bottom-up by a
     post-order walk over _operands that simplifies each distinct node once.
     """
-    points = all_tuples(lat.size, n)
-    tabulated: dict = {}  # one tabulation memo for the pass
+    points, tabulated = all_tuples(lat.size, n), _table_memo(lat, n)
     memo: dict[Term, Term] = {}  # node -> its simplified node
     for node, kids in _post_order(t, memo, _operands):
         if isinstance(node, Var):
@@ -135,7 +135,7 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
 
 def _prune(ops: list[Term], node_type, lat: Lattice, points, memo: dict) -> Term:
     """The node_type chain over the operands that no other operand makes
-    redundant; memo is the tabulation memo of the pass."""
+    redundant; memo is the lattice's tabulation memo at the arity of points."""
     tables = [_tabulate(o, lat, points, memo) for o in ops]
     leq = lat.leq_table
 

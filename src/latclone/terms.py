@@ -194,9 +194,19 @@ def evaluate(t: Term, lat: Lattice, xs) -> int:
     return _tabulate(t, lat, [xs], {})[0]
 
 
+def _table_memo(lat: Lattice, n: int) -> weakref.WeakKeyDictionary:
+    """The tabulation memo of lat at arity n: node -> its values at every
+    n-tuple.  Keys are weak, so a table lasts as long as its node; the
+    anchor operands, which the lattice keeps, stay tabulated across calls."""
+    memos = lat.__dict__.setdefault("_table_memo_cache", {})
+    if n not in memos:
+        memos[n] = weakref.WeakKeyDictionary()
+    return memos[n]
+
+
 def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
     """Tabulate the term as an n-ary function table."""
-    return FnTable(lat, n, _tabulate(t, lat, all_tuples(lat.size, n), {}))
+    return FnTable(lat, n, _tabulate(t, lat, all_tuples(lat.size, n), _table_memo(lat, n)))
 
 
 def print_term(t: Term) -> str:

@@ -8,8 +8,8 @@ import pytest
 from latclone import enumerate_class, format_function, format_lattice, functable, n5, to_table
 from latclone.cli import load_lattice, main
 from latclone.errors import LatcloneError
-from latclone.functable import from_callable
-from latclone.lattice import chain
+from latclone.functable import from_callable, projection
+from latclone.lattice import chain, from_covers
 from latclone.terms import parse_term_file
 
 
@@ -49,6 +49,49 @@ def test_load_lattice_specs(pentagon_file):
         load_lattice("torus:3")
     with pytest.raises(LatcloneError):
         load_lattice("chain:x")
+
+
+def test_named_lattices_are_built_once_per_process():
+    assert load_lattice("chain:4") is load_lattice("chain:04")
+    assert load_lattice("m:2") is load_lattice("m:+2")
+    assert load_lattice("n5") is load_lattice("n5")
+    assert load_lattice("chain:2") is not load_lattice("m:2")
+
+
+def test_lattice_file_is_read_again_on_every_call(capsys, tmp_path):
+    path = tmp_path / "l.lat"
+    for lat in (chain(2), chain(3)):
+        path.write_text(format_lattice(lat))
+        code, out, _ = run(capsys, ["lattice", "check", str(path)])
+        assert (code, out.split()[0]) == (0, f"size={lat.size}")
+    # the same labels and name ordered as a chain, then as M2: the first
+    # projection decomposes on both, to different terms
+    fn_path = tmp_path / "p.fn"
+    terms = []
+    for covers in ([("0", "a"), ("a", "b"), ("b", "1")],
+                   [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")]):
+        lat = from_covers(["0", "a", "b", "1"], covers, name="L")
+        path.write_text(format_lattice(lat))
+        fn_path.write_text(format_function(projection(lat, 2, 1)))
+        code, out, _ = run(capsys, ["decompose", "--lattice", f"file:{path}", str(fn_path)])
+        assert code == 0
+        terms.append(parse_term_file(out)[2])
+        assert load_lattice(f"file:{path}").leq_table == lat.leq_table
+    assert terms[0] is not terms[1]
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("torus:3", "LatcloneError: unknown lattice spec 'torus:3'"),
+    ("n5:1", "LatcloneError: unknown lattice spec 'n5:1'"),
+    ("chain:x", "LatcloneError: bad lattice spec 'chain:x': integer parameter expected"),
+    ("m:", "LatcloneError: bad lattice spec 'm:': integer parameter expected"),
+    ("chain:1", "InvalidSize: chain needs n >= 2, got 1"),
+    ("boolean:0", "InvalidSize: boolean needs k >= 1, got 0"),
+])
+def test_bad_lattice_specs_exit_2(capsys, median_file, spec, error):
+    for _ in range(2):  # a spec that failed once fails the same way again
+        code, out, err = run(capsys, ["decompose", "--lattice", spec, median_file])
+        assert (code, out, err) == (2, "", error + "\n")
 
 
 def test_lattice_check(capsys, pentagon_file):
@@ -319,6 +362,37 @@ def test_successive_calls_match_separate_processes(capsys, tmp_path):
     assert together == [(done.returncode, done.stdout) for done in apart]
     assert [out.split()[0] for _, out in together] == [
         "reached=36", "reached=16", "reached=4"]
+
+
+def test_warm_decompose_matches_separate_processes(capsys, tmp_path):
+    # one process reuses each named lattice with its anchor operands and
+    # their tables from call to call; the term files must not show it
+    calls = []
+    for spec, n in (("chain:3", 2), ("m:2", 2), ("n5", 2), ("chain:2", 4)):
+        lat = load_lattice(spec)
+        consts = [(i + 1) % lat.size for i in range(n)]
+
+        def poly(xs, lat=lat, consts=consts):  # meet(x) joined with each x_i meet c_i
+            return lat.join_all([lat.meet_all(xs)] + [lat.meet(x, c) for x, c in zip(xs, consts)])
+
+        path = tmp_path / f"{lat.name}-{n}.fn"
+        path.write_text(format_function(from_callable(lat, n, poly)))
+        calls += [["decompose", "--lattice", spec, "--reduced", str(path), *extra]
+                  for extra in ([], ["--simplify"])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    apart = []
+    for i, argv in enumerate(calls):
+        out_path = tmp_path / f"apart-{i}.term"
+        done = subprocess.run([sys.executable, "-m", "latclone.cli", *argv,
+                               "--out", str(out_path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        apart.append(out_path.read_bytes())
+    for repeat in range(2):
+        for i, argv in enumerate(calls):
+            out_path = tmp_path / f"warm-{repeat}-{i}.term"
+            assert run(capsys, [*argv, "--out", str(out_path)]) == (0, "", "")
+            assert out_path.read_bytes() == apart[i]
 
 
 def test_count_single_and_range(capsys):

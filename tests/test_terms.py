@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -10,9 +11,11 @@ from latclone import (
     Meet,
     Var,
     compose,
+    decompose_id,
     decompose_id_reduced,
     enumerate_class,
     evaluate,
+    from_covers,
     is_idempotent,
     join_fn,
     make_iota,
@@ -33,6 +36,9 @@ from latclone.errors import (
 from latclone.generators import iota_spec, parse_spec
 from latclone.functable import all_tuples
 from latclone.terms import (
+    _children,
+    _interned,
+    _table_memo,
     depth,
     format_term_file,
     join_of,
@@ -184,6 +190,40 @@ def test_to_table_matches_scalar_evaluation(chain3):
             expected = tuple(slow_eval(u, chain3, xs) for xs in all_tuples(3, 2))
             assert to_table(u, chain3, 2).values == expected
             assert evaluate(u, chain3, (2, 1)) == expected[7]
+
+
+def test_tabulation_memo_keeps_no_term_alive():
+    # M2 under labels no other test uses, so that its nodes are new
+    lat = from_covers(["b", "l", "r", "t"], [("b", "l"), ("b", "r"), ("l", "t"), ("r", "t")],
+                      name="m2")
+    gc.collect()
+    before = set(_interned.values())
+    for f in enumerate_class(lat, 2, "idempotent")[::50]:
+        for t in (decompose_id(f), decompose_id_reduced(f)):
+            assert to_table(simplify(t, lat, 2), lat, 2).values == f.values
+            assert to_table(t, lat, 2).values == f.values
+    del t
+    gc.collect()
+    new = [t for t in _interned.values() if t not in before]
+    operands = [op for slots in lat.__dict__["_operand_cache"].values() for op in slots
+                if op is not None]
+    kept, stack = set(), list(operands)
+    while stack:
+        node = stack.pop()
+        if node not in kept:
+            kept.add(node)
+            stack += _children(node)
+    assert new and set(new) == kept - before
+    # the operands stay tabulated for the next call
+    assert all(op in _table_memo(lat, 2) for op in operands)
+
+
+def test_tabulation_memo_is_kept_per_arity():
+    lat = from_covers(["u", "v", "w"], [("u", "v"), ("v", "w")], name="chain3")
+    t = Join(Var(1), Meet(Var(1), Var(1)))
+    for n in (1, 2, 1, 3):
+        assert to_table(t, lat, n).values == projection(lat, n, 1).values
+        assert simplify(t, lat, n) is Var(1)
 
 
 def test_apply_argument_count_checked(chain3):
