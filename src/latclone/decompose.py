@@ -14,7 +14,8 @@ necessarily idempotent) aggregation function as a mu/oplus composite.
 from __future__ import annotations
 
 from .errors import NotAggregation, UnsupportedArity
-from .functable import FnTable, _cells, all_tuples, check_idempotent_aggregation, is_aggregation
+from .functable import (FnTable, _cells, _packer, all_tuples, check_idempotent_aggregation,
+                        is_aggregation)
 from .generators import iota_spec, mu_spec, oplus_spec
 from .lattice import Lattice
 from .terms import (Apply, Join, Meet, Term, Var, _post_order, _table_memo, _tabulate,
@@ -120,31 +121,36 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
     In a meet, an operand can go when another operand is pointwise below it;
     dually for joins.  Purely a size optimization, applied bottom-up by a
     post-order walk over _operands that simplifies each distinct node once.
+    The simplified nodes persist per lattice and arity beside the
+    tabulation memo; a node that simplifies to itself is kept as None, as
+    a value holding its own weak key would keep that key alive.
     """
     points, tabulated = all_tuples(lat.size, n), _table_memo(lat, n)
-    memo: dict[Term, Term] = {}  # node -> its simplified node
+    memo = _table_memo(lat, n, "simplify")  # node -> its simplified node
     for node, kids in _post_order(t, memo, _operands):
         if isinstance(node, Var):
-            memo[node] = node
+            new = node
         elif isinstance(node, Apply):
-            memo[node] = Apply(node.spec, [memo[k] for k in kids])
+            new = Apply(node.spec, [memo[k] or k for k in kids])
         else:
-            memo[node] = _prune([memo[k] for k in kids], type(node), lat, points, tabulated)
-    return memo[t]
+            new = _prune([memo[k] or k for k in kids], type(node), lat, points, tabulated)
+        memo[node] = None if new is node else new
+    return memo[t] or t
 
 
-def _prune(ops: list[Term], node_type, lat: Lattice, points, memo: dict) -> Term:
+def _prune(ops: list[Term], node_type, lat: Lattice, points, memo) -> Term:
     """The node_type chain over the operands that no other operand makes
-    redundant; memo is the lattice's tabulation memo at the arity of points."""
-    tables = [_tabulate(o, lat, points, memo) for o in ops]
-    leq = lat.leq_table
+    redundant; memo is the lattice's tabulation memo at the arity of points.
+    lo <= hi at every cell iff lo & ~hi is 0 on their packed down-set masks."""
+    pack = _packer(lat, "down").pack
+    masks = [pack(_tabulate(o, lat, points, memo)) for o in ops]
 
     def drops(j: int, i: int) -> bool:
         """Whether operand j makes operand i redundant."""
-        if tables[i] == tables[j]:
+        if masks[i] == masks[j]:
             return j < i  # keep only the first of equal operands
-        lo, hi = (tables[j], tables[i]) if node_type is Meet else (tables[i], tables[j])
-        return all(leq[a][b] for a, b in zip(lo, hi))
+        lo, hi = (masks[j], masks[i]) if node_type is Meet else (masks[i], masks[j])
+        return not lo & ~hi
 
     kept = [o for i, o in enumerate(ops)
             if not any(drops(j, i) for j in range(len(ops)) if j != i)]

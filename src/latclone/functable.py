@@ -151,6 +151,7 @@ class FnTable:
     values: tuple[int, ...]
     name: str = field(default="f", compare=False)
     _lookup: object = field(default=None, init=False, repr=False, compare=False)
+    _aggregation: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.lattice.size
@@ -212,6 +213,7 @@ _set_arity = FnTable.arity.__set__
 _set_values = FnTable.values.__set__
 _set_name = FnTable.name.__set__
 _set_lookup = FnTable._lookup.__set__
+_set_aggregation = FnTable._aggregation.__set__
 
 
 def _member(lat: Lattice, n: int, values: tuple[int, ...]) -> FnTable:
@@ -223,6 +225,7 @@ def _member(lat: Lattice, n: int, values: tuple[int, ...]) -> FnTable:
     _set_values(f, values)
     _set_name(f, "f")
     _set_lookup(f, None)
+    _set_aggregation(f, None)
     return f
 
 
@@ -304,7 +307,10 @@ def is_boundary(f: FnTable) -> bool:
 
 
 def is_aggregation(f: FnTable) -> bool:
-    return is_boundary(f) and is_monotone(f)
+    """Boundary conditions and monotonicity, checked once: f keeps the verdict."""
+    if f._aggregation is None:
+        _set_aggregation(f, is_boundary(f) and is_monotone(f))
+    return f._aggregation
 
 
 def is_idempotent(f: FnTable) -> bool:

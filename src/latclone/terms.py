@@ -194,14 +194,15 @@ def evaluate(t: Term, lat: Lattice, xs) -> int:
     return _tabulate(t, lat, [xs], {})[0]
 
 
-def _table_memo(lat: Lattice, n: int) -> weakref.WeakKeyDictionary:
-    """The tabulation memo of lat at arity n: node -> its values at every
-    n-tuple.  Keys are weak, so a table lasts as long as its node; the
-    anchor operands, which the lattice keeps, stay tabulated across calls."""
+def _table_memo(lat: Lattice, n: int, kind: str = "table") -> weakref.WeakKeyDictionary:
+    """A memo of lat at arity n: node -> its values at every n-tuple, or with
+    kind "simplify" node -> its simplified node.  Keys are weak, so an entry
+    lasts as long as its node; the anchor operands, which the lattice
+    keeps, stay tabulated and simplified across calls."""
     memos = lat.__dict__.setdefault("_table_memo_cache", {})
-    if n not in memos:
-        memos[n] = weakref.WeakKeyDictionary()
-    return memos[n]
+    if (kind, n) not in memos:
+        memos[kind, n] = weakref.WeakKeyDictionary()
+    return memos[kind, n]
 
 
 def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
@@ -209,12 +210,37 @@ def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
     return FnTable(lat, n, _tabulate(t, lat, all_tuples(lat.size, n), _table_memo(lat, n)))
 
 
+# The texts of the operands of printed meet/join chains (a decomposition's
+# anchor operands recur from call to call); a text holds no node.
+_texts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def print_term(t: Term) -> str:
-    """The s-expression of t, built without recursion.  A node met a second
-    time (decompositions share their meet(x), join(x) and tail subterms)
-    copies the text of its first rendering."""
+    """The s-expression of t, built without recursion.  The operands of
+    t's own meet (join) chain, down its left spine, keep their texts in
+    _texts; the chain's heads are written on every call."""
+    kind, node, rights = type(t), t, []
+    while kind in (Meet, Join) and type(node) is kind:
+        rights.append(node.right)
+        node = node.left
     parts: list[str] = []
-    spans: dict[Term, tuple[int, int]] = {}  # node -> its slice of parts
+    spans: dict[Term, tuple[int, int]] = {}  # shared by this call's renderings
+    texts = []
+    for operand in (node, *reversed(rights)):
+        text = _texts.get(operand)
+        if text is None:
+            start = len(parts)
+            _render(operand, parts, spans)
+            text = _texts[operand] = "".join(parts[start:])
+        texts.append(text)
+    head = "(meet " if kind is Meet else "(join "
+    return head * len(rights) + texts[0] + "".join([f" {text})" for text in texts[1:]])
+
+
+def _render(t: Term, parts: list[str], spans: dict) -> None:
+    """Append the s-expression of t to parts.  A node met a second time
+    (decompositions share their meet(x), join(x) and tail subterms) copies
+    the text of its first rendering, which spans maps to its slice of parts."""
     stack: list = [t]  # terms, literal text and end marks, next item last
     while stack:
         item = stack.pop()
@@ -237,7 +263,6 @@ def print_term(t: Term) -> str:
         else:
             head = "(meet " if kind is Meet else "(join "
             stack += ((item, len(parts)), ")", item.right, " ", item.left, head)
-    return "".join(parts)
 
 
 def _tokenize(s: str):

@@ -16,6 +16,7 @@ from latclone import (
     h_agg_term,
     join_fn,
     m_lattice,
+    n5,
     pointwise_meet,
     print_term,
     projection,
@@ -139,6 +140,56 @@ def test_simplify_preserves_table_and_shrinks(chain3):
     s = simplify(t, chain3, 3)
     assert to_table(s, chain3, 3).values == f.values
     assert len(print_term(s)) < len(print_term(t))
+
+
+def reference_simplify(t, lat, n):
+    """simplify with a fresh memo, comparing operand tables with lat.leq
+    cell by cell."""
+    memo = {}
+
+    def below(lo, hi):
+        return all(lat.leq(a, b) for a, b in zip(lo, hi))
+
+    def walk(u):
+        if u not in memo:
+            if isinstance(u, Var):
+                memo[u] = u
+            elif isinstance(u, Apply):
+                memo[u] = Apply(u.spec, [walk(arg) for arg in u.args])
+            else:
+                kind, ops, stack = type(u), [], [u]
+                while stack:
+                    node = stack.pop()
+                    if type(node) is kind:
+                        stack += [node.right, node.left]
+                    else:
+                        ops.append(walk(node))
+                tables = [to_table(o, lat, n).values for o in ops]
+
+                def drops(j, i):
+                    if tables[i] == tables[j]:
+                        return j < i
+                    return below(tables[j], tables[i]) if kind is Meet else \
+                        below(tables[i], tables[j])
+
+                memo[u] = functools.reduce(kind, [
+                    o for i, o in enumerate(ops)
+                    if not any(drops(j, i) for j in range(len(ops)) if j != i)])
+        return memo[u]
+
+    return walk(t)
+
+
+@pytest.mark.parametrize("name, n", [("chain3", 2), ("m2", 2), ("n5", 2), ("chain3", 3)])
+def test_packed_simplify_matches_the_scalar_reference(name, n):
+    lat = {"chain3": chain(3), "m2": m_lattice(2), "n5": n5()}[name]
+    rng = random.Random(f"simplify:{name}:{n}")
+    ids = enumerate_class(lat, n, "idempotent")
+    for f in (ids[k] for k in rng.sample(range(len(ids)), 6)):
+        for t in (decompose_id(f), decompose_id_reduced(f)):
+            s = simplify(t, lat, n)
+            assert s is reference_simplify(t, lat, n)
+            assert to_table(s, lat, n).values == f.values
 
 
 def test_simplify_drops_duplicate_operands(chain3):

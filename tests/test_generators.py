@@ -38,7 +38,8 @@ from latclone.errors import (
     PreconditionViolated,
     TermSyntaxError,
 )
-from latclone.functable import FnTable, all_tuples, from_callable, leq_pointwise
+from latclone import functable
+from latclone.functable import FnTable, all_tuples, from_callable, is_monotone, leq_pointwise
 from latclone.generators import (
     GeneratorSpec,
     chi_spec,
@@ -217,6 +218,20 @@ def test_h_agg_recovery(chain2, chain3):
 def test_h_agg_rejects_non_aggregation(chain2):
     with pytest.raises(NotAggregation):
         h_agg(FnTable(chain2, 2, (1, 1, 1, 1)), (0, 0))
+
+
+def test_h_agg_checks_aggregation_once_per_table(chain2, monkeypatch):
+    calls = []
+    monkeypatch.setattr(functable, "is_monotone",
+                        lambda f: calls.append(f) or is_monotone(f))
+    g = FnTable(chain2, 2, join_fn(chain2).values)
+    hs = [h_agg(g, a) for a in all_tuples(2, 2)]
+    assert functools.reduce(pointwise_meet, hs).values == g.values
+    assert calls == [g]
+    f = FnTable(chain2, 2, (1, 1, 1, 1))
+    for a in all_tuples(2, 2):  # the kept verdict refuses f at every anchor
+        with pytest.raises(NotAggregation):
+            h_agg(f, a)
 
 
 def test_reduce_iota_pair_specs(chain3):

@@ -1,6 +1,8 @@
 import copy
 import gc
 import pickle
+import random
+import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -33,12 +35,14 @@ from latclone.errors import (
     ParseError,
     TermSyntaxError,
 )
+from latclone.cli import load_lattice, main
 from latclone.generators import iota_spec, parse_spec
-from latclone.functable import all_tuples
+from latclone.functable import all_tuples, format_function
 from latclone.terms import (
     _children,
     _interned,
     _table_memo,
+    _texts,
     depth,
     format_term_file,
     join_of,
@@ -207,15 +211,19 @@ def test_tabulation_memo_keeps_no_term_alive():
     new = [t for t in _interned.values() if t not in before]
     operands = [op for slots in lat.__dict__["_operand_cache"].values() for op in slots
                 if op is not None]
-    kept, stack = set(), list(operands)
+    # the simplify memo keeps each live node's simplified node, and nothing more
+    simplified = [s for s in _table_memo(lat, 2, "simplify").values() if s is not None]
+    kept, stack = set(), operands + simplified
     while stack:
         node = stack.pop()
         if node not in kept:
             kept.add(node)
             stack += _children(node)
     assert new and set(new) == kept - before
-    # the operands stay tabulated for the next call
+    assert set(_table_memo(lat, 2, "simplify")) <= kept
+    # the operands stay tabulated and simplified for the next call
     assert all(op in _table_memo(lat, 2) for op in operands)
+    assert all(op in _table_memo(lat, 2, "simplify") for op in operands)
 
 
 def test_tabulation_memo_is_kept_per_arity():
@@ -267,6 +275,106 @@ def test_print_forms(chain3):
     t = iota_term(chain3, 0, 1, 2, 1, (Var(1), Var(2), Var(3)))
     assert print_term(t) == "(iota[0,1,2;1] x1 x2 x3)"
     assert print_term(Apply(parse_spec("mu[0]"), (Var(2),))) == "(mu[0] x2)"
+
+
+def reference_print(t):
+    """The s-expression of t, node by node with no memo and no sharing."""
+    out, stack = [], [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(f"x{item.index}")
+        elif isinstance(item, Apply):
+            stack.append(")")
+            for arg in reversed(item.args):
+                stack += [arg, " "]
+            stack.append(f"({item.spec.format()}")
+        else:
+            stack += [")", item.right, " ", item.left,
+                      "(meet " if isinstance(item, Meet) else "(join "]
+    return "".join(out)
+
+
+def random_term(lat, rng, leaves):
+    """A seeded term mixing meet, join and iota nodes, with shared subterms."""
+    nodes = [Var(i) for i in range(1, 4)]
+    for _ in range(leaves):
+        kind = rng.choice("mjmja")
+        a, b = rng.choice(nodes), rng.choice(nodes)
+        if kind == "a":
+            node = iota_term(lat, 0, 1, 2, rng.randrange(3), (a, b, rng.choice(nodes)))
+        else:
+            node = (Meet if kind == "m" else Join)(a, b) if rng.random() < 0.5 else \
+                (Meet if kind == "m" else Join)(b, a)
+        nodes.append(node)
+    return nodes[-1]
+
+
+def test_print_follows_the_left_spine_only():
+    assert print_term(Meet(Var(1), Meet(Var(2), Var(3)))) == "(meet x1 (meet x2 x3))"
+    assert print_term(Meet(Meet(Var(1), Var(2)), Var(3))) == "(meet (meet x1 x2) x3)"
+    assert print_term(Join(Meet(Var(1), Var(2)), Var(3))) == "(join (meet x1 x2) x3)"
+
+
+def test_print_matches_the_node_by_node_rendering(chain3):
+    right = Var(2)
+    for _ in range(3000):
+        right = Meet(Var(1), right)
+    assert print_term(right) == "(meet x1 " * 3000 + "x2" + ")" * 3000
+    rng = random.Random(16)
+    mixed = [random_term(chain3, rng, leaves) for leaves in (1, 2, 5, 40, 300)]
+    chains = [meet_of(mixed), join_of(mixed), Meet(meet_of(mixed), join_of(mixed[::-1])),
+              Join(Var(1), meet_of(mixed))]
+    for t in [right, *mixed, *chains]:
+        expected = reference_print(t)
+        assert print_term(t) == expected  # the texts of t's operands are now kept
+        assert print_term(t) == expected
+        _texts.clear()
+        assert print_term(t) == expected
+        assert parse_term(expected, 3) is t
+
+
+def test_print_keeps_one_text_per_chain_operand():
+    gc.collect()
+    operands = [Join(Var(i), Var(i + 1)) for i in range(1, 60)]
+    before = len(_texts)
+    t = meet_of(operands)
+    assert print_term(t) == reference_print(t)
+    assert len(_texts) - before <= len(operands)
+    assert t not in _texts and all(op in _texts for op in operands)
+
+
+def test_simplify_and_text_memos_pin_no_term(tmp_path):
+    lat = load_lattice("m:2")
+    f = enumerate_class(lat, 2, "idempotent")[1234]
+    fn_file, term_file = tmp_path / "f.fn", tmp_path / "f.term"
+    fn_file.write_text(format_function(f))
+    argv = ["decompose", "--lattice", "m:2", "--reduced", "--simplify", str(fn_file),
+            "--out", str(term_file)]
+    memo = _table_memo(lat, 2, "simplify")
+
+    def decompose_and_simplify():
+        """Weak references to the top terms of the two simplify calls."""
+        # the CLI's simplify drops operands from the decomposition's top chain
+        top = decompose_id_reduced(f)  # the node the CLI builds
+        assert main(argv) == 0
+        assert top in memo and memo[top] is not None
+        # simplifying the CLI's simplified term again drops no operand, so
+        # its nodes simplify to themselves and are kept as None
+        _, _, simplified = parse_term_file(term_file.read_text())
+        assert simplify(simplified, lat, 2) is simplified and memo[simplified] is None
+        assert format_term_file(simplified, 2, "m2") == term_file.read_text()
+        return weakref.ref(top), weakref.ref(simplified)
+
+    decompose_and_simplify()  # warms the anchor operands and their simplified nodes
+    gc.collect()
+    sizes = len(memo), len(_texts)
+    refs = decompose_and_simplify()
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert (len(memo), len(_texts)) == sizes
 
 
 def test_parse_round_trip(chain3):
