@@ -231,7 +231,9 @@ def print_term(t: Term) -> str:
         if text is None:
             start = len(parts)
             _render(operand, parts, spans)
-            text = _texts[operand] = "".join(parts[start:])
+            text = "".join(parts[start:])
+            if rights:  # a root that is no chain keeps no text
+                _texts[operand] = text
         texts.append(text)
     head = "(meet " if kind is Meet else "(join "
     return head * len(rights) + texts[0] + "".join([f" {text})" for text in texts[1:]])

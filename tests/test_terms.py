@@ -204,26 +204,31 @@ def test_tabulation_memo_keeps_no_term_alive():
     before = set(_interned.values())
     for f in enumerate_class(lat, 2, "idempotent")[::50]:
         for t in (decompose_id(f), decompose_id_reduced(f)):
-            assert to_table(simplify(t, lat, 2), lat, 2).values == f.values
+            s = simplify(t, lat, 2)
+            assert to_table(s, lat, 2).values == f.values
             assert to_table(t, lat, 2).values == f.values
-    del t
+            assert simplify(s, lat, 2) is s  # drops nothing: s maps to itself
+    del t, s
     gc.collect()
     new = [t for t in _interned.values() if t not in before]
     operands = [op for slots in lat.__dict__["_operand_cache"].values() for op in slots
                 if op is not None]
-    # the simplify memo keeps each live node's simplified node, and nothing more
-    simplified = [s for s in _table_memo(lat, 2, "simplify").values() if s is not None]
-    kept, stack = set(), operands + simplified
+    # the simplify memo keeps the simplified node of each otherwise live node,
+    # and nothing more: no value keeps its own key or a dead node alive
+    memo = _table_memo(lat, 2, "simplify")
+    kept, stack = set(), operands + [k for k in memo.keys() if k in before]
     while stack:
         node = stack.pop()
         if node not in kept:
             kept.add(node)
             stack += _children(node)
+            if memo.get(node) is not None:
+                stack.append(memo[node])
     assert new and set(new) == kept - before
-    assert set(_table_memo(lat, 2, "simplify")) <= kept
+    assert set(memo) <= kept
     # the operands stay tabulated and simplified for the next call
     assert all(op in _table_memo(lat, 2) for op in operands)
-    assert all(op in _table_memo(lat, 2, "simplify") for op in operands)
+    assert all(op in memo for op in operands)
 
 
 def test_tabulation_memo_is_kept_per_arity():
@@ -344,6 +349,9 @@ def test_print_keeps_one_text_per_chain_operand():
     assert print_term(t) == reference_print(t)
     assert len(_texts) - before <= len(operands)
     assert t not in _texts and all(op in _texts for op in operands)
+    lone = Apply(parse_spec("mu[0]"), (t,))
+    assert print_term(lone) == f"(mu[0] {reference_print(t)})"
+    assert lone not in _texts and len(_texts) - before <= len(operands)
 
 
 def test_simplify_and_text_memos_pin_no_term(tmp_path):
