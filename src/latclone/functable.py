@@ -385,20 +385,84 @@ def iter_monotone_values(lat: Lattice, n: int, boundary: bool = False, diagonal:
     starting from the base.  Each row keeps a memo of those candidates keyed
     by the base (on m3 at arity 2 the last row sees 39 304 tuples of lower
     rows but 15 bases).  The pins and intervals are folded into one table of
-    candidates per cell and lower bound.
+    candidates per cell and lower bound, kept with the tail's layout on the
+    lattice for each arity and class.
+
+    The last k rows form the tail, the rows before it the prefix.  The
+    tail's candidates, the ways to fill it, depend only on its key: for each
+    tail row, the join of its lower rows in the prefix.  k is the fewest
+    last rows that hold 8 cells (one row when m >= 8), or 1 when every
+    prefix row is the only prefix lower row of some tail row, since the
+    key then names the whole prefix and never repeats (m2 at arity 2).
+    Tails nest: in a walk of the tail the last row is a one-row tail of its
+    own, whose key is its base and whose candidates are its row memo; when
+    k == 1 the two are one.
 
     Rows are bytes of m fields, one byte each when m <= 256 and two up to
     65536 (more raises InvalidSize), packed once when a cell walk finds
-    them; bases, memos and prefixes are bytes too.  The walk makes blocks
-    of whole vectors, read by Struct.iter_unpack: a visit to the last row
-    makes one block of every vector under its prefix when the row's memo
-    holds its candidates, else one block per row as the cell walk finds
-    it.  A memo is recorded once its walk is exhausted, which the
-    depth-first order guarantees before the row is reached again, so a
-    consumer that stops early has made the walk find no row beyond the
-    vectors it took, and build at most one block beyond them."""
+    them; bases, keys, memos and prefixes are bytes or tuples of bytes.
+    The walk makes blocks of whole vectors, read by Struct.iter_unpack: a
+    visit to a tail's first row whose candidates are recorded makes one
+    block, prefix + prefix.join(candidates), of every vector under its
+    prefix; the cell walk of the last row makes one block per row as it
+    finds it.  A walk of the tail records the tail's candidates once it is
+    exhausted, as a row's cell walk records its memo, which the depth-first
+    order guarantees before the key or the base recurs, so a consumer that
+    stops early has made the walk find no row beyond the vectors it took,
+    and build at most one block beyond them.  enumerate_class appends the
+    blocks to one bytearray and keeps it behind a read-only memoryview."""
     vector, blocks = _walk(lat, n, boundary, diagonal, interval, cell_budget)
     return itertools.chain.from_iterable(map(vector.iter_unpack, blocks))
+
+
+_TAIL_CELLS = 8
+
+_WalkTables = namedtuple("_WalkTables", "allowed start outer inner")
+
+
+def _walk_tables(lat: Lattice, n: int, boundary: bool, diagonal: bool,
+                 interval: bool) -> _WalkTables:
+    """What the walk reads beside the cell records, built once per lattice
+    instance, arity and flags.  allowed[k][lb] is the tuple of cell k's
+    candidates above the lower bound lb, with the pins and intervals folded
+    in.  The tail is rows start .. m**(n-1) - 1, the fewest last rows that
+    hold _TAIL_CELLS cells, or the last row alone when every prefix row is
+    the only prefix lower row of some tail row; outer[j] and inner[j] are
+    the lower rows of tail row start + j before and from start."""
+    key = n, boundary, diagonal, interval
+    try:
+        return lat.__dict__["_walk_cache"][key]
+    except KeyError:
+        pass
+    m, leq, bottom = lat.size, lat.leq_table, lat.bottom
+    record, lower_rows = _cells(lat, n), _cells(lat, n - 1).below
+    pinned = range(m) if diagonal else (bottom, lat.top) if boundary else ()
+    pins = {record.diagonal[x]: x for x in pinned}
+    free = range(m)
+    above = [tuple(v for v in free if leq[lb][v]) for lb in free]
+    allowed = []
+    for k in range(m**n):
+        cands = [pins[k]] if k in pins else free
+        if interval:
+            lo, hi = record.lows[k], record.highs[k]
+            cands = [v for v in cands if leq[lo][v] and leq[v][hi]]
+        # the candidates above each lower bound, one shared list for free cells
+        allowed.append(above if cands is free
+                       else [tuple(v for v in cands if leq[lb][v]) for lb in free])
+    rows = len(lower_rows)
+
+    def before(start):
+        return [[q for q in lower_rows[t] if q < start] for t in range(start, rows)]
+
+    start = max(rows - -(-_TAIL_CELLS // m), 0)
+    outer = before(start)
+    if {qs[0] for qs in outer if len(qs) == 1}.issuperset(range(start)):
+        start = rows - 1
+        outer = before(start)
+    inner = [[q for q in lower_rows[t] if q >= start] for t in range(start, rows)]
+    tables = _WalkTables(allowed, start, outer, inner)
+    lat.__dict__.setdefault("_walk_cache", {})[key] = tables
+    return tables
 
 
 def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
@@ -414,29 +478,19 @@ def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
     code = "B" if m <= 1 << 8 else "H"
     row_struct = struct.Struct(f"={m}{code}")
     pack, unpack = row_struct.pack, row_struct.unpack
-    leq, join_t, bottom = lat.leq_table, lat.join_table, lat.bottom
+    join_t = lat.join_table
     # a row is a cell of L^(n-1), and a cell of a row an element of L
     lower_covers, lower_rows = _cells(lat, 1).below, _cells(lat, n - 1).below
-    record = _cells(lat, n)
-    pinned = range(m) if diagonal else (bottom, lat.top) if boundary else ()
-    pins = {record.diagonal[x]: x for x in pinned}
-    free = range(m)
-    above = [tuple(v for v in free if leq[lb][v]) for lb in free]
-    allowed = []
-    for k in range(cells):
-        cands = [pins[k]] if k in pins else free
-        if interval:
-            lo, hi = record.lows[k], record.highs[k]
-            cands = [v for v in cands if leq[lo][v] and leq[v][hi]]
-        # the candidates above each lower bound, one shared list for free cells
-        allowed.append(above if cands is free
-                       else [tuple(v for v in cands if leq[lb][v]) for lb in free])
+    allowed, start, outer, inner = _walk_tables(lat, n, boundary, diagonal, interval)
     rows = len(lower_rows)
     last = rows - 1
-    bottom_row = pack(*(bottom,) * m)
+    offset = start * row_struct.size  # where the tail begins in a vector
+    bottom_row = pack(*(lat.bottom,) * m)
     joins = {}  # pointwise joins of two rows; the same pairs recur often
     memos = [{} for _ in range(rows)]
+    tails = {}  # tail key -> the tail's candidates, each its rows concatenated
     chosen = [None] * rows
+    exhausted = iter(())
 
     def row_walk(r, base):
         """The cell walk over row r from base, range-checking each row it
@@ -467,42 +521,68 @@ def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
             candidates[j] = iter(allow[j][lb])
         memos[r][base] = seen
 
-    def row_candidates(r):
-        """Row r's candidates: the memo's list for the last row, else an iterator."""
-        base = bottom_row
-        for q in lower_rows[r]:
+    def join_rows(base, qs):
+        """base joined with the chosen rows qs."""
+        for q in qs:
             pair = base, chosen[q]
             base = joins.get(pair)
             if base is None:
                 base = joins[pair] = pack(*map(getitem, map(join_t.__getitem__, unpack(pair[0])),
                                                unpack(pair[1])))
-        seen = memos[r].get(base)
-        if seen is None:
-            return row_walk(r, base)
-        return seen if r == last else iter(seen)
+        return base
 
     def blocks():
         prefixes = [b""] * rows  # prefixes[r]: rows 0 .. r-1 concatenated
         candidates = [None] * rows
-        candidates[0] = row_candidates(0)
         r = 0
-        while r >= 0:
-            if r == last:
-                prefix, found = prefixes[r], candidates[r]
-                if type(found) is not list:
-                    yield from map(prefix.__add__, found)
-                elif found:
+        while True:
+            # enter row r: emit the vectors under it if it is the first row
+            # of a recorded tail or the last row, else push its candidates
+            prefix = prefixes[r]
+            found = None
+            if r == start:
+                keys = []  # a loop: a comprehension is one more call per visit on 3.11
+                for qs in outer:
+                    keys.append(join_rows(bottom_row, qs))
+                keys = tuple(keys)
+                found = tails.get(keys)
+                if found is None:
+                    seen, base = [], keys[0]
+            elif r < start:
+                base = join_rows(bottom_row, lower_rows[r])
+            else:
+                base = join_rows(keys[r - start], inner[r - start])
+            if found is not None:  # a recorded tail: every vector under the prefix
+                if found:
                     yield prefix + prefix.join(found)
                 r -= 1
-                continue
-            row = next(candidates[r], None)
-            if row is None:
+            elif r < last:
+                found = memos[r].get(base)
+                candidates[r] = row_walk(r, base) if found is None else iter(found)
+            else:  # the last row, in a walk of the tail that records its rows
+                tail = prefix[offset:]
+                found = memos[r].get(base)  # itself a one-row tail, keyed by its base
+                if found is None:  # one block per row as the cell walk finds it
+                    for row in row_walk(r, base):
+                        seen.append(tail + row)
+                        yield prefix + row
+                elif found:
+                    seen += map(tail.__add__, found)
+                    yield prefix + prefix.join(found)
+                candidates[r] = exhausted  # so the loop below backtracks past it
+            # the next row: the next candidate of the deepest row that has one
+            while r >= 0:
+                row = next(candidates[r], None)
+                if row is not None:
+                    break
+                if r == start:
+                    tails[keys] = seen
                 r -= 1
-                continue
+            else:
+                return
             chosen[r] = row
             r += 1
             prefixes[r] = prefixes[r - 1] + row
-            candidates[r] = row_candidates(r)
 
     return struct.Struct(f"={cells}{code}"), blocks()
 
@@ -513,8 +593,9 @@ _CLASS_FLAGS = {"monotone": {}, "aggregation": {"boundary": True},
 
 class PackedClass(Sequence):
     """A read-only sequence of n-ary functions on a lattice, kept as one
-    bytes buffer that holds each member's value vector as m**n fixed-width
-    fields, one byte per field when m <= 256.  A member becomes an FnTable
+    buffer, a read-only memoryview of the bytearray the walk filled, that
+    holds each member's value vector as m**n fixed-width fields, one byte
+    per field when m <= 256.  A member becomes an FnTable
     only when it is read.  Slices, of any step, share the buffer; adding
     another sequence gives a list.  Only enumerate_class builds one, since
     members skip the FnTable checks that its walk has made."""
@@ -525,7 +606,7 @@ class PackedClass(Sequence):
         raise TypeError("a PackedClass is built only by enumerate_class")
 
     @classmethod
-    def _trusted(cls, lat: Lattice, n: int, buffer: bytes, vector: struct.Struct,
+    def _trusted(cls, lat: Lattice, n: int, buffer: memoryview, vector: struct.Struct,
                  offsets: range) -> PackedClass:
         packed = object.__new__(cls)
         packed._lattice, packed._arity = lat, n
@@ -591,14 +672,15 @@ def enumerate_class(lat: Lattice, n: int, cls: str, cell_budget: int = DEFAULT_C
     diagonal is pinned and candidates confined to [meet(x), join(x)].
     The result compares by identity; list() of it gives a list.
 
-    The buffer is the walk's blocks joined, so members skip the FnTable
-    constructor's checks: the walk range-checks every row it packs, and
-    every block is whole vectors of m**n fields."""
+    The buffer is the walk's blocks appended to one bytearray, kept
+    without a copy behind a read-only memoryview, so members skip the
+    FnTable constructor's checks: the walk range-checks every row it
+    packs, and every block is whole vectors of m**n fields."""
     vector, blocks = _class_blocks(lat, n, cls, cell_budget, count_budget)
     buffer = bytearray()
     for block in blocks:
         buffer += block
-    return PackedClass._trusted(lat, n, bytes(buffer), vector,
+    return PackedClass._trusted(lat, n, memoryview(buffer).toreadonly(), vector,
                                 range(0, len(buffer), vector.size))
 
 

@@ -37,6 +37,7 @@ from .functable import (
     PackedClass,
     _cells,
     _check_same_lattice,
+    _member,
     check_idempotent_aggregation,
     is_aggregation,
     tuple_index,
@@ -250,14 +251,19 @@ def h_agg(f: FnTable, a) -> FnTable:
     below a, top elsewhere, and bottom at the all-bottom cell."""
     if not is_aggregation(f):
         raise NotAggregation("h_agg needs an aggregation function")
-    lat = f.lattice
-    a = tuple(a)
-    fa = f(a)
+    lat, n, a = f.lattice, f.arity, tuple(a)
+    cache = lat.__dict__.setdefault("_anchor_cells_cache", {})
+    try:
+        k, below = cache[n, a]
+    except KeyError:
+        f(a)  # refuses a point of another arity or outside the lattice
+        k, below = cache[n, a] = tuple_index(lat.size, a), _cells_below(lat, a)
+    fa = f.values[k]
     values = [lat.top] * len(f.values)
-    for k in _cells_below(lat, a):
-        values[k] = fa
-    values[_cells(lat, f.arity).diagonal[lat.bottom]] = lat.bottom
-    return FnTable(lat, f.arity, tuple(values))
+    for c in below:
+        values[c] = fa
+    values[_cells(lat, n).diagonal[lat.bottom]] = lat.bottom
+    return _member(lat, n, tuple(values))
 
 
 def reduce_iota_pair(lat: Lattice, a: int, b: int, c: int, d: int):

@@ -45,6 +45,7 @@ from latclone.functable import (
     PackedClass,
     _cells,
     _packer,
+    _walk_tables,
     all_tuples,
     compose_values,
     from_callable,
@@ -465,6 +466,149 @@ def test_a_count_budget_cut_holds_a_few_blocks(lat, n, cls, cells):
     try:
         with pytest.raises(BudgetExceeded, match="count budget 10"):
             enumerate_class(lat, n, cls, cell_budget=cells, count_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def slice_count(lat, n, cls):
+    """Independent class size, counted without listing the members.  f
+    splits by its first argument into slices f(x, ...), each a monotone
+    (n-1)-ary map (from the reference backtracker) that meets the class's
+    pins and intervals at the cells (x, ...), with f(x, ...) <= f(y, ...)
+    pointwise whenever y covers x.  Elements are taken in index order, a
+    linear extension with the top last; the slices of y above the ones
+    chosen at its lower covers are a bit mask, and the top's are counted."""
+    m, leq, flags = lat.size, lat.leq_table, REFERENCE_FLAGS[cls]
+    inner = all_tuples(m, n - 1)
+
+    def admissible(x, values):
+        for t, v in zip(inner, values):
+            xs = (x, *t)
+            if flags.get("diagonal") and xs == (x,) * n and v != x:
+                return False
+            if flags.get("boundary") and xs in ((lat.bottom,) * n, (lat.top,) * n) and v != x:
+                return False
+            if flags.get("interval") and not (leq[lat.meet_all(xs)][v]
+                                              and leq[v][lat.join_all(xs)]):
+                return False
+        return True
+
+    monotone = list(reference_monotone_values(lat, n - 1))
+    slices = [[s for s in monotone if admissible(x, s)] for x in range(m)]
+    lower = [[x for x in range(m) if y in lat.upper_covers(x)] for y in range(m)]
+    above = {(x, y): [sum(1 << j for j, t in enumerate(slices[y])
+                          if all(leq[a][b] for a, b in zip(s, t))) for s in slices[x]]
+             for y in range(m) for x in lower[y]}
+    chosen = [None] * m
+
+    def count(y):
+        allowed = (1 << len(slices[y])) - 1
+        for x in lower[y]:
+            allowed &= above[x, y][chosen[x]]
+        if y == m - 1:
+            return bin(allowed).count("1")
+        total = 0
+        for i in range(len(slices[y])):
+            if allowed >> i & 1:
+                chosen[y] = i
+                total += count(y + 1)
+        return total
+
+    return count(0)
+
+
+def tail_rows(lat, n):
+    """How many last rows the walk memoizes as one tail."""
+    return len(_walk_tables(lat, n, False, False, False).outer)
+
+
+@pytest.mark.parametrize("lat, n, k", [
+    (chain(4), 2, 2), (n5(), 2, 2), (m_lattice(3), 2, 2), (chain(3), 3, 3), (chain(2), 5, 4),
+    (chain(2), 11, 4),
+    # m >= 8: one row holds 8 cells
+    (chain(8), 2, 1), (chain(30), 2, 1),
+    # the key would name the whole prefix: m2's tail rows a2 and 1 read rows
+    # 0 and a1 alone, and chain2^4's tail rows 100 .. 111 rows 000 .. 011
+    (m_lattice(2), 2, 1), (chain(2), 4, 1),
+    # no prefix at all
+    (chain(3), 2, 1), (chain(2), 3, 1), (chain(5), 1, 1),
+], ids=lambda v: getattr(v, "name", str(v)))
+def test_the_tail_is_the_fewest_last_rows_of_eight_cells_unless_its_key_names_the_prefix(
+        lat, n, k):
+    assert tail_rows(lat, n) == k
+
+
+@pytest.mark.parametrize("lat, n, size", [(chain(3), 3, 116211), (n5(), 2, 280592)],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_a_full_class_with_tail_hits_is_exactly_the_class(lat, n, size):
+    # the reference backtracker lists only a prefix of these classes, so the
+    # full class is held against an independent count: strictly increasing
+    # vectors that all pass the scalar predicates, as many as the class has
+    assert tail_rows(lat, n) > 1
+    assert slice_count(lat, n, "idempotent") == size
+    fns = enumerate_class(lat, n, "idempotent")
+    assert len(fns) == size
+    vectors = list(fns.vectors())
+    assert all(a < b for a, b in zip(vectors, vectors[1:]))
+    assert all(is_monotone(f) and is_idempotent(f) and is_intermediate(f) for f in fns)
+
+
+def random_lattice(rng):
+    """A lattice of 2 to 6 elements: a family of subsets of a 4-set that is
+    closed under intersection and holds the whole set, ordered by inclusion."""
+    while True:
+        family = {15}
+        for _ in range(rng.randrange(1, 6)):
+            family.add(rng.randrange(16))
+        while True:
+            closed = family | {a & b for a in family for b in family}
+            if closed == family:
+                break
+            family = closed
+        if 2 <= len(family) <= 6:
+            break
+    members = sorted(family)
+    rng.shuffle(members)
+    labels = [f"s{a}" for a in members]
+    below = [(a, b) for a in family for b in family if a != b and a & b == a]
+    covers = [(f"s{a}", f"s{b}") for a, b in below
+              if not any((a, c) in below and (c, b) in below for c in family)]
+    return from_covers(labels, covers, name=f"sub{len(family)}")
+
+
+RANDOM_LATTICES = [random_lattice(random.Random(seed)) for seed in range(12)]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("lat", RANDOM_LATTICES, ids=lambda lat: lat.name)
+def test_random_lattices_match_the_reference_backtracker(lat, cls):
+    # the class, or its first 3000 members where it has more
+    flags = REFERENCE_FLAGS[cls]
+    for n in (2, 3):
+        cells = lat.size**n
+        fast = list(itertools.islice(
+            iter_monotone_values(lat, n, cell_budget=cells, **flags), 3000))
+        slow = list(itertools.islice(reference_monotone_values(lat, n, **flags), 3000))
+        assert fast == slow
+        if len(fast) < 3000:
+            assert count_class(lat, n, cls, cell_budget=cells) == len(fast)
+
+
+def test_random_lattices_reach_tails_of_each_length():
+    assert {tail_rows(lat, n) for lat in RANDOM_LATTICES for n in (2, 3)} >= {1, 2}
+
+
+def test_a_count_budget_cut_with_a_tail_holds_a_few_blocks():
+    # chain2 at arity 11 walks 1024 rows with a tail of 4; its class is
+    # astronomically large, and the cut must come while the first tails are
+    # still being walked
+    assert tail_rows(chain(2), 11) == 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="count budget 10"):
+            enumerate_class(chain(2), 11, "monotone", cell_budget=2048, count_budget=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
