@@ -17,7 +17,7 @@ from .errors import NotAggregation, UnsupportedArity
 from .functable import (FnTable, _cells, _packer, all_tuples, check_idempotent_aggregation,
                         is_aggregation)
 from .generators import iota_spec, mu_spec, oplus_spec
-from .lattice import Lattice
+from .lattice import Lattice, per_lattice
 from .terms import (Apply, Join, Meet, Term, Var, _post_order, _table_memo, _tabulate,
                     join_of, meet_of)
 
@@ -32,11 +32,12 @@ def _decompose(f: FnTable, reduced: bool) -> Term:
                     for k, v in enumerate(f.values)])
 
 
+@per_lattice
 def _operand_slots(lat: Lattice, n: int, reduced: bool) -> list:
     """The lattice's anchor operands of arity n in one form: slot k*m + v
-    holds the operand of the k-th tuple when f maps it to v."""
-    cache = lat.__dict__.setdefault("_operand_cache", {})
-    return cache.get((n, reduced)) or cache.setdefault((n, reduced), [None] * lat.size ** (n + 1))
+    holds the operand of the k-th tuple when f maps it to v, or None until
+    it is built."""
+    return [None] * lat.size ** (n + 1)
 
 
 def _anchor_operand(lat: Lattice, n: int, k: int, v: int, reduced: bool) -> Term:
@@ -125,7 +126,7 @@ def simplify(t: Term, lat: Lattice, n: int) -> Term:
     tabulation memo; a node that simplifies to itself is kept as None, as
     a value holding its own weak key would keep that key alive.
     """
-    points, tabulated = all_tuples(lat.size, n), _table_memo(lat, n)
+    points, tabulated = all_tuples(lat.size, n), _table_memo(lat, n, "table")
     memo = _table_memo(lat, n, "simplify")  # node -> its simplified node
     for node, kids in _post_order(t, memo, _operands):
         if isinstance(node, Var):

@@ -27,7 +27,7 @@ from .errors import (
     NotIdempotent,
     ParseError,
 )
-from .lattice import Lattice, check_label
+from .lattice import Lattice, check_label, per_lattice
 
 DEFAULT_CELL_BUDGET = 64
 DEFAULT_COUNT_BUDGET = 10**7
@@ -80,17 +80,13 @@ class _Masks:
                      for s in range(0, self._width * cells, self._width))
 
 
+@per_lattice
 def _packer(lat: Lattice, kind: str) -> _Masks:
     """The packer of lat's value vectors whose field for value v is the
     mask of v alone ("point"), of the elements below v ("down") or of those
-    above it ("up"); built once per lattice.  down(x meet y) is
-    down(x) & down(y), up(x join y) is up(x) & up(y), and x <= y iff
-    down(x) & ~down(y) == 0, so one big-int operation on two packed
-    vectors does the same at every cell."""
-    try:
-        return lat.__dict__["_packer_cache"][kind]
-    except KeyError:
-        pass
+    above it ("up").  down(x meet y) is down(x) & down(y), up(x join y) is
+    up(x) & up(y), and x <= y iff down(x) & ~down(y) == 0, so one big-int
+    operation on two packed vectors does the same at every cell."""
     downs, m = lat.down_masks, lat.size
     if kind == "point":
         masks = [1 << v for v in range(m)]
@@ -98,8 +94,7 @@ def _packer(lat: Lattice, kind: str) -> _Masks:
         masks = downs
     else:
         masks = [sum(1 << y for y in range(m) if downs[y] >> x & 1) for x in range(m)]
-    packer = lat.__dict__.setdefault("_packer_cache", {})[kind] = _Masks(masks)
-    return packer
+    return _Masks(masks)
 
 
 def _allowed(lat: Lattice, lows, highs) -> int:
@@ -108,38 +103,32 @@ def _allowed(lat: Lattice, lows, highs) -> int:
     return _packer(lat, "up").pack(lows) & _packer(lat, "down").pack(highs)
 
 
+@per_lattice
 def _cells(lat: Lattice, n: int) -> _Cells:
     """The cell structure of L^n that the predicates, the enumerator and
-    decompose read, built once per lattice instance and arity.  below[k]
-    holds the cells one cover step below cell k in one coordinate,
-    diagonal[x] is the cell of (x, ..., x), lows[k] and highs[k] are the
-    meet and the join of cell k's tuple, and allowed is one int whose
-    field k, in the layout of _packer, is the mask of the values between
-    them.  Arity 0 has the empty tuple alone, whose meet is top and join
-    bottom; cell r*m + x of arity n extends cell r of arity n-1 by x."""
-    try:
-        return lat.__dict__["_cells_cache"][n]
-    except KeyError:
-        pass
+    decompose read.  below[k] holds the cells one cover step below cell k
+    in one coordinate, diagonal[x] is the cell of (x, ..., x), lows[k] and
+    highs[k] are the meet and the join of cell k's tuple, and allowed is
+    one int whose field k, in the layout of _packer, is the mask of the
+    values between them.  Arity 0 has the empty tuple alone, whose meet is
+    top and join bottom; cell r*m + x of arity n extends cell r of arity
+    n-1 by x."""
     if n == 0:
         lows, highs = (lat.top,), (lat.bottom,)
-        record = _Cells(((),), (0,) * lat.size, lows, highs, _allowed(lat, lows, highs))
-    else:
-        m, meet_t, join_t = lat.size, lat.meet_table, lat.join_table
-        rows = _cells(lat, n - 1)
-        lower = [[x for x in range(m) if c in lat.upper_covers(x)] for c in range(m)]
-        lows = tuple(meet_t[lo][x] for lo in rows.lows for x in range(m))
-        highs = tuple(join_t[hi][x] for hi in rows.highs for x in range(m))
-        record = _Cells(
-            tuple((*(q * m + x for q in below), *(r * m + c for c in lower[x]))
-                  for r, below in enumerate(rows.below) for x in range(m)),
-            tuple(r * m + x for x, r in enumerate(rows.diagonal)),
-            lows,
-            highs,
-            _allowed(lat, lows, highs),
-        )
-    lat.__dict__.setdefault("_cells_cache", {})[n] = record
-    return record
+        return _Cells(((),), (0,) * lat.size, lows, highs, _allowed(lat, lows, highs))
+    m, meet_t, join_t = lat.size, lat.meet_table, lat.join_table
+    rows = _cells(lat, n - 1)
+    lower = [[x for x in range(m) if c in lat.upper_covers(x)] for c in range(m)]
+    lows = tuple(meet_t[lo][x] for lo in rows.lows for x in range(m))
+    highs = tuple(join_t[hi][x] for hi in rows.highs for x in range(m))
+    return _Cells(
+        tuple((*(q * m + x for q in below), *(r * m + c for c in lower[x]))
+              for r, below in enumerate(rows.below) for x in range(m)),
+        tuple(r * m + x for x, r in enumerate(rows.diagonal)),
+        lows,
+        highs,
+        _allowed(lat, lows, highs),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,20 +237,19 @@ def projection(lat: Lattice, n: int, i: int) -> FnTable:
     return from_callable(lat, n, lambda xs: xs[i - 1], name=f"p{i}^{n}")
 
 
-def _op_table(lat: Lattice, name: str, rows) -> FnTable:
-    """A binary operation table as an FnTable, built once per lattice."""
-    cache = lat.__dict__.setdefault("_op_table_cache", {})
-    if name not in cache:
-        cache[name] = FnTable(lat, 2, tuple(v for row in rows for v in row), name=name)
-    return cache[name]
+@per_lattice
+def _op_table(lat: Lattice, name: str) -> FnTable:
+    """The operation "meet" or "join" of lat as a binary FnTable."""
+    rows = lat.meet_table if name == "meet" else lat.join_table
+    return FnTable(lat, 2, tuple(v for row in rows for v in row), name=name)
 
 
 def meet_fn(lat: Lattice) -> FnTable:
-    return _op_table(lat, "meet", lat.meet_table)
+    return _op_table(lat, "meet")
 
 
 def join_fn(lat: Lattice) -> FnTable:
-    return _op_table(lat, "join", lat.join_table)
+    return _op_table(lat, "join")
 
 
 def _check_same_lattice(*fns: FnTable):
@@ -420,20 +408,16 @@ _TAIL_CELLS = 8
 _WalkTables = namedtuple("_WalkTables", "allowed start outer inner")
 
 
+@per_lattice
 def _walk_tables(lat: Lattice, n: int, boundary: bool, diagonal: bool,
                  interval: bool) -> _WalkTables:
-    """What the walk reads beside the cell records, built once per lattice
-    instance, arity and flags.  allowed[k][lb] is the tuple of cell k's
-    candidates above the lower bound lb, with the pins and intervals folded
-    in.  The tail is rows start .. m**(n-1) - 1, the fewest last rows that
-    hold _TAIL_CELLS cells, or the last row alone when every prefix row is
-    the only prefix lower row of some tail row; outer[j] and inner[j] are
-    the lower rows of tail row start + j before and from start."""
-    key = n, boundary, diagonal, interval
-    try:
-        return lat.__dict__["_walk_cache"][key]
-    except KeyError:
-        pass
+    """What the walk reads beside the cell records, per arity and flags.
+    allowed[k][lb] is the tuple of cell k's candidates above the lower
+    bound lb, with the pins and intervals folded in.  The tail is rows
+    start .. m**(n-1) - 1, the fewest last rows that hold _TAIL_CELLS
+    cells, or the last row alone when every prefix row is the only prefix
+    lower row of some tail row; outer[j] and inner[j] are the lower rows
+    of tail row start + j before and from start."""
     m, leq, bottom = lat.size, lat.leq_table, lat.bottom
     record, lower_rows = _cells(lat, n), _cells(lat, n - 1).below
     pinned = range(m) if diagonal else (bottom, lat.top) if boundary else ()
@@ -460,9 +444,7 @@ def _walk_tables(lat: Lattice, n: int, boundary: bool, diagonal: bool,
         start = rows - 1
         outer = before(start)
     inner = [[q for q in lower_rows[t] if q >= start] for t in range(start, rows)]
-    tables = _WalkTables(allowed, start, outer, inner)
-    lat.__dict__.setdefault("_walk_cache", {})[key] = tables
-    return tables
+    return _WalkTables(allowed, start, outer, inner)
 
 
 def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,

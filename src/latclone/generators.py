@@ -42,7 +42,7 @@ from .functable import (
     is_aggregation,
     tuple_index,
 )
-from .lattice import Lattice, check_label
+from .lattice import Lattice, check_label, per_lattice
 
 KINDS = ("chi", "iota", "mu", "oplus")
 _FIXED_ARITY = {"iota": 3, "mu": 1, "oplus": 2}
@@ -109,25 +109,26 @@ class GeneratorSpec:
         return self.table(lat)(args)
 
     def table(self, lat: Lattice) -> FnTable:
-        """The generator's table on lat in closed form, built once per
-        lattice instance: a chi or iota cell holds the join of its tuple,
-        met with the target on the cells below the threshold."""
-        cache = lat.__dict__.setdefault("_spec_table_cache", {})
-        if self not in cache:
-            bound, target = self.resolve(lat)
-            m, bottom, top = lat.size, lat.bottom, lat.top
-            if self.kind in ("chi", "iota"):
-                values = list(_cells(lat, self.arity).highs)
-                for k in _cells_below(lat, bound):
-                    values[k] = lat.meet_table[target][values[k]]
-            elif self.kind == "mu":
-                values = [bottom if lat.leq(x, bound[0]) and x != top else top
-                          for x in range(m)]
-            else:  # oplus; the cell of (x, x) is x*(m+1)
-                values = [bound[0]] * (m * m)
-                values[bottom * (m + 1)], values[top * (m + 1)] = bottom, top
-            cache[self] = FnTable(lat, self.arity, tuple(values), name=self.format())
-        return cache[self]
+        """The generator's table on lat in closed form: a chi or iota cell
+        holds the join of its tuple, met with the target on the cells below
+        the threshold."""
+        return _spec_table(lat, self)
+
+
+@per_lattice
+def _spec_table(lat: Lattice, spec: GeneratorSpec) -> FnTable:
+    bound, target = spec.resolve(lat)
+    m, bottom, top = lat.size, lat.bottom, lat.top
+    if spec.kind in ("chi", "iota"):
+        values = list(_cells(lat, spec.arity).highs)
+        for k in _cells_below(lat, bound):
+            values[k] = lat.meet_table[target][values[k]]
+    elif spec.kind == "mu":
+        values = [bottom if lat.leq(x, bound[0]) and x != top else top for x in range(m)]
+    else:  # oplus; the cell of (x, x) is x*(m+1)
+        values = [bound[0]] * (m * m)
+        values[bottom * (m + 1)], values[top * (m + 1)] = bottom, top
+    return FnTable(lat, spec.arity, tuple(values), name=spec.format())
 
 
 def _cells_below(lat: Lattice, a) -> list[int]:
@@ -251,16 +252,16 @@ def h_agg(f: FnTable, a) -> FnTable:
     below a, top elsewhere, and bottom at the all-bottom cell."""
     if not is_aggregation(f):
         raise NotAggregation("h_agg needs an aggregation function")
-    lat, n, a = f.lattice, f.arity, tuple(a)
-    cache = lat.__dict__.setdefault("_anchor_cells_cache", {})
-    try:
-        k, below = cache[n, a]
-    except KeyError:
-        f(a)  # refuses a point of another arity or outside the lattice
-        k, below = cache[n, a] = tuple_index(lat.size, a), _cells_below(lat, a)
-    fa = f.values[k]
-    values = [lat.top] * len(f.values)
-    for c in below:
+    a = tuple(a)
+    # f(a) refuses a point of another arity or outside the lattice
+    return _h_agg_table(f.lattice, f.arity, a, f(a))
+
+
+@per_lattice
+def _h_agg_table(lat: Lattice, n: int, a: tuple[int, ...], fa: int) -> FnTable:
+    """h_agg's result for every f of arity n with f(a) = fa."""
+    values = [lat.top] * lat.size**n
+    for c in _cells_below(lat, a):
         values[c] = fa
     values[_cells(lat, n).diagonal[lat.bottom]] = lat.bottom
     return _member(lat, n, tuple(values))

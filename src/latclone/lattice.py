@@ -9,7 +9,8 @@ linearly extends the product order, which the enumeration code relies on.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property, wraps
 
 from .errors import (
     ArityMismatch,
@@ -45,14 +46,9 @@ class Lattice:
         except KeyError:
             raise KeyError(f"unknown element label {label!r} in lattice {self.name!r}")
 
-    @property
+    @cached_property
     def _index_map(self) -> dict[str, int]:
-        # lazily cached on the instance; frozen dataclass, so go via __dict__
-        cached = self.__dict__.get("_index_map_cache")
-        if cached is None:
-            cached = {lab: i for i, lab in enumerate(self.labels)}
-            self.__dict__["_index_map_cache"] = cached
-        return cached
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -95,33 +91,50 @@ class Lattice:
         leq = self.leq_table
         return all(leq[x][y] for x, y in zip(xs, ys))
 
-    @property
+    @cached_property
     def down_masks(self) -> tuple[int, ...]:
         """Bit y of down_masks[x] is set iff y <= x, so that x <= y exactly
         when down_masks[x] & ~down_masks[y] == 0.  Built on first use."""
-        cached = self.__dict__.get("_down_masks_cache")
-        if cached is None:
-            leq, m = self.leq_table, self.size
-            cached = tuple(
-                sum(1 << y for y in range(m) if leq[y][x]) for x in range(m)
-            )
-            self.__dict__["_down_masks_cache"] = cached
-        return cached
+        leq, m = self.leq_table, self.size
+        return tuple(sum(1 << y for y in range(m) if leq[y][x]) for x in range(m))
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, ...], ...]:
+        leq, m = self.leq_table, self.size
+        aboves = [[y for y in range(m) if y != v and leq[v][y]] for v in range(m)]
+        return tuple(tuple(y for y in above if not any(z != y and leq[z][y] for z in above))
+                     for above in aboves)
 
     def upper_covers(self, x: int) -> tuple[int, ...]:
         """Elements covering x (immediately above it)."""
-        cached = self.__dict__.get("_covers_cache")
-        if cached is None:
-            leq = self.leq_table
-            cached = []
-            for v in range(self.size):
-                above = [y for y in range(self.size) if y != v and leq[v][y]]
-                cached.append(tuple(
-                    y for y in above
-                    if not any(z != y and leq[z][y] for z in above)
-                ))
-            self.__dict__["_covers_cache"] = cached
-        return cached[x]
+        return self._covers[x]
+
+    @cached_property
+    def _memo(self) -> dict:
+        """builder -> {positional arguments -> value} for the builders
+        wrapped by per_lattice."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        """The fields alone: pickles and copies carry no derived value."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def per_lattice(build):
+    """Wrap build(lat, *args) so that its value is built once per lattice
+    instance and positional arguments, and kept for the life of the
+    instance; a call that raises keeps nothing.  Equal lattices share no
+    entry."""
+
+    def cached(lat: Lattice, *args):
+        try:
+            return lat._memo[build][args]
+        except KeyError:
+            pass
+        value = lat._memo.setdefault(build, {})[args] = build(lat, *args)
+        return value
+
+    return wraps(build)(cached)
 
 
 def _linear_extension(m: int, succs: list[set[int]]) -> list[int]:

@@ -25,7 +25,7 @@ from .functable import (
     meet_fn,
 )
 from .generators import GeneratorSpec, parse_spec
-from .lattice import Lattice
+from .lattice import Lattice, per_lattice
 
 # The unique table behind the hash-consed constructors: one live node per
 # structure.  Keys hold the ids of the children, which stay valid while the
@@ -194,20 +194,19 @@ def evaluate(t: Term, lat: Lattice, xs) -> int:
     return _tabulate(t, lat, [xs], {})[0]
 
 
-def _table_memo(lat: Lattice, n: int, kind: str = "table") -> weakref.WeakKeyDictionary:
-    """A memo of lat at arity n: node -> its values at every n-tuple, or with
-    kind "simplify" node -> its simplified node.  Keys are weak, so an entry
-    lasts as long as its node; the anchor operands, which the lattice
-    keeps, stay tabulated and simplified across calls."""
-    memos = lat.__dict__.setdefault("_table_memo_cache", {})
-    if (kind, n) not in memos:
-        memos[kind, n] = weakref.WeakKeyDictionary()
-    return memos[kind, n]
+@per_lattice
+def _table_memo(lat: Lattice, n: int, kind: str) -> weakref.WeakKeyDictionary:
+    """A memo of lat at arity n: with kind "table" node -> its values at
+    every n-tuple, with kind "simplify" node -> its simplified node.  Keys
+    are weak, so an entry lasts as long as its node; the anchor operands,
+    which the lattice keeps, stay tabulated and simplified across calls."""
+    return weakref.WeakKeyDictionary()
 
 
 def to_table(t: Term, lat: Lattice, n: int) -> FnTable:
     """Tabulate the term as an n-ary function table."""
-    return FnTable(lat, n, _tabulate(t, lat, all_tuples(lat.size, n), _table_memo(lat, n)))
+    memo = _table_memo(lat, n, "table")
+    return FnTable(lat, n, _tabulate(t, lat, all_tuples(lat.size, n), memo))
 
 
 # The texts of the operands of printed meet/join chains (a decomposition's

@@ -36,6 +36,7 @@ from latclone.errors import (
     LatticeMismatch,
     NotIdempotent,
 )
+from latclone.decompose import _operand_slots
 from latclone.functable import FnTable, compose_values, from_callable
 from latclone.terms import _children, _interned
 
@@ -199,7 +200,7 @@ def test_part_b_leaves_only_the_operand_cache_interned():
     verify_generation(lat, 2)
     gc.collect()
     new = [t for t in _interned.values() if t not in before]
-    kept, stack = set(), list(lat.__dict__["_operand_cache"][2, True])
+    kept, stack = set(), list(_operand_slots(lat, 2, True))
     while stack:
         node = stack.pop()
         if node is not None and node not in kept:

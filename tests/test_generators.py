@@ -39,7 +39,8 @@ from latclone.errors import (
     TermSyntaxError,
 )
 from latclone import functable
-from latclone.functable import FnTable, all_tuples, from_callable, is_monotone, leq_pointwise
+from latclone.functable import (FnTable, all_tuples, from_callable, is_monotone, leq_pointwise,
+                                tuple_index)
 from latclone.generators import (
     GeneratorSpec,
     chi_spec,
@@ -390,6 +391,60 @@ def test_h_agg_matches_reference_at_every_anchor(lat):
             if key not in expected:
                 expected[key] = tuple(reference_h_agg(lat, *key, xs) for xs in points)
             assert h_agg(f, a).values == expected[key]
+
+
+def test_h_agg_keeps_one_table_per_anchor_and_value():
+    lat = chain(3)
+    members = enumerate_class(lat, 2, "aggregation")
+    a = (1, 2)
+    by_value = {}
+    for f in members:
+        by_value.setdefault(f(a), []).append(f)
+    assert len(by_value) > 1
+    for fa, fs in by_value.items():
+        assert all(h_agg(f, a) is h_agg(fs[0], a) for f in fs)
+        assert h_agg(fs[0], a).values[tuple_index(lat.size, a)] == fa
+    assert h_agg(by_value[1][0], a) is not h_agg(by_value[2][0], a)
+    # the same anchor and value on another lattice instance is another table
+    other = chain(3)
+    assert h_agg(join_fn(other), a) == h_agg(join_fn(lat), a)
+    assert h_agg(join_fn(other), a) is not h_agg(join_fn(lat), a)
+
+
+def memo_keys(lat):
+    """Every (builder, arguments) that lat's per-lattice memo holds."""
+    return {(build, args) for build, values in lat._memo.items() for args in values}
+
+
+def test_h_agg_checks_every_call_whatever_it_keeps():
+    lat = chain(3)
+    join = join_fn(lat)
+    h_agg(join, (1, 1))
+    keys = memo_keys(lat)
+    for bad, error in (((0, 5), IndexOutOfRange), ((1, 1, 1), ArityMismatch)):
+        for _ in range(2):
+            with pytest.raises(error):
+                h_agg(join, bad)
+    # f(1, 1) = 1 like the join, so a kept table fits, but f is no aggregation
+    not_agg = from_callable(lat, 2, lambda xs: 1)
+    for _ in range(2):
+        with pytest.raises(NotAggregation):
+            h_agg(not_agg, (1, 1))
+    assert memo_keys(lat) == keys
+    assert h_agg(join, (0, 2)).values == tuple(
+        reference_h_agg(lat, (0, 2), 2, xs) for xs in all_tuples(lat.size, 2))
+
+
+def test_a_spec_table_that_fails_keeps_nothing():
+    lat = chain(3)
+    good, bad = parse_spec("iota[0,1,2;1]"), parse_spec("iota[0,1,9;1]")
+    keys = memo_keys(lat)
+    for _ in range(2):
+        with pytest.raises(InvalidSpec, match="'9'"):
+            bad.table(lat)
+    assert memo_keys(lat) == keys
+    assert good.table(lat).values == tuple(
+        reference_apply(good, lat, xs) for xs in all_tuples(lat.size, 3))
 
 
 def test_out_of_range_points_are_refused(chain2):

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -6,6 +9,7 @@ from latclone import (
     boolean,
     chain,
     decompose_id_reduced,
+    enumerate_class,
     format_function,
     format_lattice,
     from_covers,
@@ -13,6 +17,8 @@ from latclone import (
     n5,
     parse_function,
     parse_lattice,
+    print_term,
+    simplify,
     to_table,
 )
 from latclone.errors import (
@@ -25,7 +31,10 @@ from latclone.errors import (
     NotAPartialOrder,
     ParseError,
 )
-from latclone.functable import from_callable
+from latclone.decompose import _operand_slots
+from latclone.functable import _cells, _packer, _walk_tables, from_callable, join_fn, meet_fn
+from latclone.generators import parse_spec
+from latclone.lattice import Lattice, per_lattice
 from latclone.terms import format_term_file, parse_term_file
 
 
@@ -250,3 +259,87 @@ def test_upper_covers(pentagon):
         pentagon.index("a"), pentagon.index("c"),
     }
     assert pentagon.upper_covers(a) == (pentagon.index("b"),)
+
+
+def test_per_lattice_builds_once_per_instance_and_key():
+    calls = []
+
+    @per_lattice
+    def build(lat, n, kind):
+        calls.append((lat, n, kind))
+        return [n, kind]
+
+    one, two = chain(3), chain(3)
+    assert one == two and one is not two
+    first = build(one, 2, "a")
+    assert build(one, 2, "a") is first
+    assert build(one, 3, "a") is not first and build(one, 2, "b") is not first
+    # equal lattice instances share no entry
+    assert build(two, 2, "a") == first and build(two, 2, "a") is not first
+    assert [(lat is one, n, kind) for lat, n, kind in calls] == [
+        (True, 2, "a"), (True, 3, "a"), (True, 2, "b"), (False, 2, "a"),
+    ]
+
+
+def test_the_library_builders_keep_one_value_per_instance_and_key():
+    one, two = chain(3), chain(3)
+    spec = parse_spec("iota[0,1,2;1]")
+    for build in (
+        lambda lat: _cells(lat, 2),
+        lambda lat: _packer(lat, "down"),
+        lambda lat: _walk_tables(lat, 2, True, False, True),
+        lambda lat: meet_fn(lat),
+        lambda lat: join_fn(lat),
+        lambda lat: spec.table(lat),
+        lambda lat: _operand_slots(lat, 2, True),
+    ):
+        assert build(one) is build(one)
+        assert build(two) is not build(one)
+    assert meet_fn(one) is not join_fn(one)
+    assert _operand_slots(one, 2, True) is not _operand_slots(one, 2, False)
+    assert _cells(one, 2) is not _cells(one, 3)
+
+
+def test_a_builder_that_raises_keeps_nothing():
+    calls = []
+
+    @per_lattice
+    def build(lat, n):
+        calls.append(n)
+        if len(calls) < 3:
+            raise InvalidArgument(f"call {len(calls)} fails")
+        return n
+
+    lat = chain(3)
+    for _ in range(2):
+        with pytest.raises(InvalidArgument):
+            build(lat, 2)
+    assert build(lat, 2) == 2 and build(lat, 2) == 2
+    assert calls == [2, 2, 2]
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_used_lattice_and_its_tables_copy_without_memos(copy_of):
+    lat = chain(3)
+    fresh_pickle = pickle.dumps(chain(3))
+    f = enumerate_class(lat, 2, "idempotent")[3]
+    term = decompose_id_reduced(f)
+    short = simplify(term, lat, 2)
+    g = to_table(short, lat, 2)
+    assert g.values == f.values
+    field_names = {fl.name for fl in fields(Lattice)}
+    # a pickle of a used lattice is that of a fresh one: it carries no memo
+    assert pickle.dumps(lat) == fresh_pickle
+    for table in (f, g, meet_fn(lat), parse_spec("iota[0,1,2;1]").table(lat)):
+        dup = copy_of(table)
+        assert dup == table and dup is not table
+        assert dup.lattice == lat and dup.lattice is not lat
+        assert set(vars(dup.lattice)) == field_names
+    dup_lat = copy_of(lat)
+    assert dup_lat == lat and set(vars(dup_lat)) == field_names
+    dup_f = copy_of(f)
+    again = decompose_id_reduced(dup_f)
+    assert print_term(again) == print_term(term)
+    assert print_term(simplify(again, dup_f.lattice, 2)) == print_term(short)
+    assert to_table(again, dup_f.lattice, 2) == f

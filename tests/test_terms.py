@@ -36,6 +36,7 @@ from latclone.errors import (
     TermSyntaxError,
 )
 from latclone.cli import load_lattice, main
+from latclone.decompose import _operand_slots
 from latclone.generators import iota_spec, parse_spec
 from latclone.functable import all_tuples, format_function
 from latclone.terms import (
@@ -211,7 +212,7 @@ def test_tabulation_memo_keeps_no_term_alive():
     del t, s
     gc.collect()
     new = [t for t in _interned.values() if t not in before]
-    operands = [op for slots in lat.__dict__["_operand_cache"].values() for op in slots
+    operands = [op for reduced in (False, True) for op in _operand_slots(lat, 2, reduced)
                 if op is not None]
     # the simplify memo keeps the simplified node of each otherwise live node,
     # and nothing more: no value keeps its own key or a dead node alive
@@ -227,8 +228,21 @@ def test_tabulation_memo_keeps_no_term_alive():
     assert new and set(new) == kept - before
     assert set(memo) <= kept
     # the operands stay tabulated and simplified for the next call
-    assert all(op in _table_memo(lat, 2) for op in operands)
+    assert all(op in _table_memo(lat, 2, "table") for op in operands)
     assert all(op in memo for op in operands)
+
+
+def test_table_memos_are_one_per_arity_and_kind():
+    lat = from_covers(["u", "v", "w"], [("u", "v"), ("v", "w")], name="chain3")
+    keys = [(2, "table"), (2, "simplify"), (3, "table")]
+    memos = [_table_memo(lat, n, kind) for n, kind in keys]
+    assert len({id(memo) for memo in memos}) == 3
+    assert all(_table_memo(lat, n, kind) is memo for (n, kind), memo in zip(keys, memos))
+    # to_table and simplify fill the memos that these calls return
+    t = Join(Var(1), Meet(Var(2), Var(1)))
+    assert simplify(t, lat, 2) is Var(1)
+    assert to_table(t, lat, 2).values == projection(lat, 2, 1).values
+    assert t in memos[0] and t in memos[1] and t not in memos[2]
 
 
 def test_tabulation_memo_is_kept_per_arity():
