@@ -18,7 +18,7 @@ import itertools
 import sys
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 from operator import add, and_, attrgetter, getitem, itemgetter, methodcaller, mul
 
@@ -26,6 +26,7 @@ from .decompose import _anchor_operand
 from .errors import ArityMismatch, BudgetExceeded, InvalidArgument, LatticeMismatch
 from .functable import (
     FnTable,
+    PackedClass,
     _cells,
     _check_same_lattice,
     _packer,
@@ -37,7 +38,7 @@ from .functable import (
     meet_fn,
     projection,
 )
-from .generators import reduced_generator_set
+from .generators import make_chi, reduced_generator_set
 from .lattice import Lattice
 from .terms import _tabulate
 
@@ -47,15 +48,23 @@ DEFAULT_CLOSURE_BUDGET = 10**6
 @dataclass
 class ClosureReport:
     """What closure reached, or which members certify showed to lie in the
-    clone; certify's fields are described there."""
+    clone; certify's fields are described there.  verify_generation's
+    reached may be the enumerated PackedClass, which compares by identity.
+    keys are built on each read, from the value vectors alone."""
 
-    reached: list[FnTable]
+    reached: list[FnTable] | PackedClass
     rounds: int
     insertions: int
     attempts: int
     budget_hit: bool
     elapsed: float
-    keys: set = field(repr=False, default_factory=set)
+
+    @property
+    def keys(self) -> set:
+        r = self.reached
+        if isinstance(r, PackedClass):
+            return {(r.arity, v) for v in r.vectors()}
+        return {f.key() for f in r}
 
 
 def _tuples_with_max(d: int, k: int):
@@ -273,7 +282,6 @@ def closure(
         attempts=attempts,
         budget_hit=budget_hit,
         elapsed=time.monotonic() - start,
-        keys={f.key() for f in reached},
     )
 
 
@@ -370,8 +378,8 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     Every base function must be an idempotent aggregation function
     (NotIdempotent otherwise), so the clone lies inside the idempotent
     class.  A member left uncertified is not shown to lie in the clone,
-    which does not prove it lies outside.  The report's reached and keys
-    are the certified members, rounds the generator levels used (0 or 1),
+    which does not prove it lies outside.  The report's reached holds the
+    certified members, rounds the generator levels used (0 or 1),
     attempts the generator applications and insertions the number of
     distinct functions in G.
     """
@@ -436,7 +444,6 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
         attempts=attempts,
         budget_hit=False,
         elapsed=time.monotonic() - start,
-        keys={(n, f.values) for f in reached},
     )
 
 
@@ -455,56 +462,62 @@ class VerificationReport:
         return self.closure_pass and self.decomposition_pass
 
 
-def _unrecovered(lat: Lattice, n: int, members) -> list[FnTable]:
-    """The members f of Id^n whose reduced decomposition, the meet over the
-    cells k of the anchor operand of (k, f(k)), does not tabulate to f.  As
-    down(x meet y) = down(x) & down(y), that is when the and over k of the
-    packed operand tables T[k][f(k)] is not f packed."""
-    m, cells, leq = lat.size, _cells(lat, n), lat.leq_table
-    points, memo, pack = all_tuples(m, n), {}, _packer(lat, "down").pack
-    tables = [[pack(_tabulate(_anchor_operand(lat, n, k, v, True), lat, points, memo))
-               if leq[lo][v] and leq[v][hi] else None for v in range(m)]
-              for k, (lo, hi) in enumerate(zip(cells.lows, cells.highs))]
-    return [f for f in members
-            if reduce(and_, map(getitem, tables, f.values)) != pack(f.values)]
+def _admissible_pairs(lat: Lattice, n: int) -> list[tuple[int, int]]:
+    """The anchor pairs (k, v) of L^n, cell by cell: meet(k) <= v <= join(k)."""
+    cells, leq = _cells(lat, n), lat.leq_table
+    return [(k, v) for k, (lo, hi) in enumerate(zip(cells.lows, cells.highs))
+            for v in range(lat.size) if leq[lo][v] and leq[v][hi]]
 
 
-def verify_generation(
-    lat: Lattice,
-    n: int,
-    budget: int = DEFAULT_CLOSURE_BUDGET,
-) -> VerificationReport:
-    """Two independent confirmations that the reduced set generates Id^n.
+def _anchor_tables(lat: Lattice, n: int, base, budget: int):
+    """(report, A, B): report certifies the admissible pairs' chis, and
+    A[k][v] and B[k][v] are the chi of (k, v) packed as down-set masks, or
+    0: in A when it is not certified, in B when the reduced anchor operand
+    of (k, v) does not tabulate to it, and in both for other pairs."""
+    points, pack, memo = all_tuples(lat.size, n), _packer(lat, "down").pack, {}
+    pairs = _admissible_pairs(lat, n)
+    chis = [make_chi(lat, points[k], v) for k, v in pairs]
+    report = certify(base, chis, budget)
+    certified = {f.values for f in report.reached}
+    a, b = ([[0] * lat.size for _ in points] for _ in "ab")
+    for (k, v), chi in zip(pairs, chis):
+        if chi.values in certified:
+            a[k][v] = pack(chi.values)
+        if _tabulate(_anchor_operand(lat, n, k, v, True), lat, points, memo) == chi.values:
+            b[k][v] = pack(chi.values)
+    return report, a, b
 
-    (A) certify, by the majorant argument, every enumerated member as an
-    element of the clone of {meet, join} plus the reduced iota generators;
-    budget bounds the certificate's generator applications.  certify checks
-    that every base function is an idempotent aggregation function, so the
-    clone lies inside the class, and A passes when every member is
-    certified.  A member left uncertified is reported as a counterexample:
-    it is not shown to lie in the clone.  (B) every enumerated member
-    tabulates back from its reduced decomposition term, the meet of its
-    anchor operands; _unrecovered checks this without building the term.
-    """
-    ids = list(enumerate_class(lat, n, "idempotent"))  # each member built once
-    base = [meet_fn(lat), join_fn(lat)]
-    base += [spec.table(lat) for spec in reduced_generator_set(lat)]
-    report = certify(base, ids, budget)
-    closure_pass = len(report.reached) == len(ids)
 
-    bad_decompositions = _unrecovered(lat, n, ids)
-    uncertified = [] if closure_pass else [f for f in ids if f.key() not in report.keys]
-    counterexamples = bad_decompositions + uncertified
+def _unrecovered(tables, vectors, pack) -> set[int]:
+    """The indices of the value vectors f whose and over the cells k of
+    tables[k][f(k)] is not pack(f): as down(x meet y) = down(x) & down(y),
+    those that are not the meet of their tables when these are packed so."""
+    return {i for i, values in enumerate(vectors)
+            if reduce(and_, map(getitem, tables, values)) != pack(values)}
 
+
+def verify_generation(lat: Lattice, n: int,
+                      budget: int = DEFAULT_CLOSURE_BUDGET) -> VerificationReport:
+    """Check that the reduced set generates Id^n through the anchors: each
+    f in Id^n is the meet over the cells k of chi_{k,f(k)}.  (A) certify
+    shows each admissible chi to lie in the clone of {meet, join} plus the
+    reduced iotas (budget bounds its generator applications); (B) each
+    admissible reduced anchor operand tabulates to its chi.  A and B are
+    separate conditions, but one shared pass over the class checks that
+    meet for every member, with the chis that fail a part set to 0; a
+    member that fails it is a counterexample (for A, one not shown to lie
+    in the clone).  When A passes, the report's reached is the class."""
+    ids = enumerate_class(lat, n, "idempotent")
+    base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in reduced_generator_set(lat))]
+    report, a, b = _anchor_tables(lat, n, base, budget)
+    pack = _packer(lat, "down").pack
+    missed = _unrecovered(a, ids.vectors(), pack)
+    wrong = missed if b == a else _unrecovered(b, ids.vectors(), pack)
+    reached = [f for i, f in enumerate(ids) if i not in missed] if missed else ids
     return VerificationReport(
-        lattice_name=lat.name,
-        arity=n,
-        id_count=len(ids),
-        closure_pass=closure_pass,
-        decomposition_pass=not bad_decompositions,
-        closure_report=report,
-        counterexamples=counterexamples,
-    )
+        lat.name, n, len(ids), closure_pass=not missed, decomposition_pass=not wrong,
+        closure_report=replace(report, reached=reached),
+        counterexamples=[ids[i] for i in sorted(missed | wrong)])
 
 
 def format_closure_report(report: ClosureReport) -> str:

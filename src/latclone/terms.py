@@ -13,13 +13,12 @@ from __future__ import annotations
 import weakref
 from functools import reduce
 
-from .errors import ArityMismatch, InvalidSpec, ParseError, TermSyntaxError
+from .errors import ArityMismatch, IndexOutOfRange, InvalidSpec, ParseError, TermSyntaxError
 from .functable import (
     FnTable,
     _refuse_delattr,
     _refuse_setattr,
     all_tuples,
-    check_elements,
     compose_values,
     join_fn,
     meet_fn,
@@ -189,8 +188,9 @@ def _tabulate(t: Term, lat: Lattice, points, memo) -> tuple[int, ...]:
 
 def evaluate(t: Term, lat: Lattice, xs) -> int:
     """Evaluate the term at the tuple xs of element indices."""
-    xs = tuple(xs)
-    check_elements(lat, xs)
+    xs, m = tuple(xs), lat.size
+    if not all(0 <= x < m for x in xs):
+        raise IndexOutOfRange(f"argument {xs} outside 0..{m - 1}")
     return _tabulate(t, lat, [xs], {})[0]
 
 

@@ -37,7 +37,7 @@ from latclone.errors import (
     NotIdempotent,
 )
 from latclone.decompose import _operand_slots
-from latclone.functable import FnTable, compose_values, from_callable
+from latclone.functable import FnTable, PackedClass, _packer, compose_values, from_callable
 from latclone.terms import _children, _interned
 
 
@@ -507,14 +507,20 @@ def test_part_b_on_two_byte_fields():
     a1, a2 = lat.index("a1"), lat.index("a2")
     members = [projection(lat, 2, 1), meet_fn(lat), join_fn(lat),
                make_chi(lat, (a1, a2), a1), make_chi(lat, (a2, lat.top), a2)]
-    assert clone._unrecovered(lat, 2, members) == []
+    _, _, tables = clone._anchor_tables(lat, 2, _reduced_base(lat), DEFAULT_CLOSURE_BUDGET)
+    pack = _packer(lat, "down").pack
+
+    def unrecovered(fns):
+        return [fns[i] for i in sorted(clone._unrecovered(tables, [f.values for f in fns], pack))]
+
+    assert unrecovered(members) == []
     # x1 with (a1, a2) moved from a1 to a2, inside [bottom, top]: (a1, bottom)
     # below it still maps to a1, so the table is no longer monotone
     values = list(members[0].values)
     values[a1 * lat.size + a2] = a2
     moved = FnTable(lat, 2, tuple(values))
     assert not is_monotone(moved)
-    assert clone._unrecovered(lat, 2, [*members, moved]) == [moved]
+    assert unrecovered([*members, moved]) == [moved]
 
 
 def test_certificate_skips_the_generator_level_when_p_suffices():
@@ -558,11 +564,57 @@ def test_certificate_argument_errors(chain2, chain3):
 
 
 def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):
-    # part A over {meet, join} alone: only the four lattice polynomials are
-    # certified, and the other members come back as counterexamples
+    # part A over {meet, join} alone: only 9 of the 17 chis lie in P, and
+    # only the join is the meet of its own chis among them; the other 63
+    # members come back as counterexamples, while every operand is right
     monkeypatch.setattr(clone, "reduced_generator_set", lambda lat: [])
+    _, a, b = clone._anchor_tables(chain3, 2, _meet_join(chain3), DEFAULT_CLOSURE_BUDGET)
+    assert [sum(1 for row in t for chi in row if chi) for t in (a, b)] == [9, 17]
     report = verify_generation(chain3, 2)
     assert not report.closure_pass and report.decomposition_pass
-    assert len(report.closure_report.reached) == 4
-    assert len(report.counterexamples) == 60
+    assert report.closure_report.reached == [join_fn(chain3)]
+    assert len(report.counterexamples) == 63
     assert not {f.key() for f in report.counterexamples} & report.closure_report.keys
+
+
+@pytest.mark.parametrize(
+    "lat,n",
+    [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4), (chain(4), 2)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_anchor_route_reaches_what_the_member_certificate_certifies(lat, n):
+    # the member-wise certificate is the reference for part A's reached set
+    ids = enumerate_class(lat, n, "idempotent")
+    report = verify_generation(lat, n)
+    reached = report.closure_report.reached
+    assert report.closure_report.keys == certify(_reduced_base(lat), ids).keys
+    assert isinstance(reached, PackedClass)
+    assert list(reached.vectors()) == list(ids.vectors())
+
+
+@pytest.mark.parametrize("v", [1, 2])
+def test_a_pair_taken_as_inadmissible_fails_both_parts(chain3, v, monkeypatch):
+    # cell 2 is the tuple (0, 2), which admits v = 1 and v = 2: with the pair
+    # (2, v) missing, its chi is neither certified nor checked
+    real = clone._admissible_pairs
+    monkeypatch.setattr(clone, "_admissible_pairs",
+                        lambda lat, n: [p for p in real(lat, n) if p != (2, v)])
+    report = verify_generation(chain3, 2)
+    assert not report.closure_pass and not report.decomposition_pass
+    ids = enumerate_class(chain3, 2, "idempotent")
+    flagged = [f for f in ids if f.values[2] == v]
+    assert flagged and report.counterexamples == flagged
+    assert report.closure_report.keys == {f.key() for f in ids} - {f.key() for f in flagged}
+
+
+def test_a_wrong_chi_fails_part_b(chain3, monkeypatch):
+    # serve chi_{(0,2),0} for the pair of cell 2 and value 1: the operand of
+    # (2, 1) no longer tabulates to it, and the members with f(0, 2) = 1 are
+    # not its meet with their other chis either
+    real = clone.make_chi
+    monkeypatch.setattr(clone, "make_chi",
+                        lambda lat, a, b: real(lat, a, 0 if (a, b) == ((0, 2), 1) else b))
+    report = verify_generation(chain3, 2)
+    assert not report.decomposition_pass and not report.closure_pass
+    ids = enumerate_class(chain3, 2, "idempotent")
+    assert report.counterexamples == [f for f in ids if f.values[2] == 1]

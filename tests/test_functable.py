@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -751,6 +752,17 @@ def test_packed_class_takes_wider_fields_beyond_256_elements():
     # lattice's tables are too large to build, so a stand-in gives its size
     with pytest.raises(InvalidSize, match="65536"):
         enumerate_class(SimpleNamespace(size=65537), 1, "idempotent")
+
+
+def test_calling_a_table_checks_arity_and_elements(chain3):
+    f = meet_fn(chain3)
+    assert [f(xs) for xs in f.tuples()] == list(f.values)
+    assert f([2, 1]) == 1
+    with pytest.raises(ArityMismatch, match="expected 2 arguments, got 3"):
+        f((0, 1, 2))
+    for xs in ((0, 3), (-1, 0), (3, -1)):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"argument {xs} outside 0..2")):
+            f(xs)
 
 
 def test_function_tables_are_immutable(chain3):
