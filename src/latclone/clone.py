@@ -32,6 +32,7 @@ from .functable import (
     _packer,
     all_tuples,
     check_idempotent_aggregation,
+    count_class,
     enumerate_class,
     format_function,
     join_fn,
@@ -329,28 +330,26 @@ def _generator_level(gens, polys, lat: Lattice, n: int) -> set:
     return set(map(tuple, out))
 
 
-def _majorants(lat: Lattice, fns: set, has_join: bool) -> list[list[int]]:
-    """upper[c][v]: the packed pointwise join of {g in fns : g(c) <= v}, or
-    0 when that set is empty or, without the join among the base
-    operations, when its join is not itself in fns.  A packed 0 is below
-    every packed function, so it certifies nothing.  The join at cell x is
-    read off the distinct pairs (g(c), g(x))."""
-    m, leq, join_t = lat.size, lat.leq_table, lat.join_table
-    pack = _packer(lat, "down").pack
-    above = [[v for v in range(m) if leq[a][v]] for a in range(m)]
-    columns = list(zip(*fns))
+def _majorants(lat: Lattice, fns, has_join: bool) -> list[list[int]]:
+    """upper[c][v]: the pointwise join of {g in fns : g(c) <= v}, packed as
+    up-set masks, or -1 when that set is empty or, without the join among
+    the base operations, when its join is not itself in fns.  As
+    up(x join y) = up(x) & up(y), a join is one big-int and: by_value[u]
+    is the and over the g with g(c) = u, and upper[c][v] the and of those
+    with u <= v.  -1 is the identity of and, and -1 & ~up(f) is never 0,
+    so -1 certifies nothing."""
+    m, leq = lat.size, lat.leq_table
+    below = [[u for u in range(m) if leq[u][v]] for v in range(m)]
+    fns = list(fns)
+    ups = list(map(_packer(lat, "up").pack, fns))
+    kept = None if has_join else set(ups)
     upper = []
-    for col in columns:
-        rows = [[None] * len(columns) for _ in range(m)]  # None: nothing joined yet
-        for x, other in enumerate(columns):
-            for a, b in set(zip(col, other)):
-                for v in above[a]:
-                    acc = rows[v][x]
-                    rows[v][x] = b if acc is None else join_t[acc][b]
-        upper.append([
-            pack(row) if row[0] is not None and (has_join or tuple(row) in fns) else 0
-            for row in rows
-        ])
+    for col in zip(*fns):
+        by_value = [-1] * m
+        for u, up in zip(col, ups):
+            by_value[u] &= up
+        row = [reduce(and_, map(by_value.__getitem__, us)) for us in below]
+        upper.append(row if kept is None else [h if h in kept else -1 for h in row])
     return upper
 
 
@@ -366,14 +365,14 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     nothing; without the join in base, H[c][v] counts only when it is
     itself in G, and without the meet, f must also equal one H[c][f(c)].
 
-    G is P first; with both the meet and the join in base that certifies
-    exactly the members of P, so it is a membership test.  If a member is
-    left, G gains one generator level: every other base function applied
-    to every tuple of its arity over P, composed by the closure's kernel.
-    budget bounds those applications, and BudgetExceeded is raised before
-    any is made when the level needs more.  Each value is packed as its
-    down-set mask (x <= y iff down(x) is a subset of down(y)), one field
-    per cell, so each test H >= f is one big-int and.
+    G is P first.  If a member is left, G gains one generator level:
+    every other base function applied to every tuple of its arity over P,
+    composed by the closure's kernel.  budget bounds those applications,
+    and BudgetExceeded is raised before any is made when the level needs
+    more.  Each member and each H[c][v] is packed once as up-set masks
+    (x <= y iff up(y) is a subset of up(x)), one field per cell, so each
+    test H >= f is h & ~up(f) == 0, one big-int and; an H[c][v] of -1
+    certifies nothing.
 
     Every base function must be an idempotent aggregation function
     (NotIdempotent otherwise), so the clone lies inside the idempotent
@@ -401,28 +400,22 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     has_meet, has_join = meet_key in base_keys, join_key in base_keys
     gens = [g for g in base if g.key() not in (meet_key, join_key)]
     polys = _lattice_polynomials(lat, n, has_meet, has_join)
-    pack = _packer(lat, "down").pack
+    pack = _packer(lat, "up").pack
     packed = [pack(f.values) for f in members]
 
     def uncertified(indices, fns) -> list[int]:
         upper = _majorants(lat, fns, has_join)
-        outside = [[~h for h in row] for row in upper]  # pf & ~h: f's excess over h
 
         def fails(i):
-            pf, values = packed[i], members[i].values
-            if any(map(pf.__and__, map(getitem, outside, values))):
-                return True
-            return not has_meet and pf not in map(getitem, upper, values)
+            uf, values = packed[i], members[i].values
+            hs = list(map(getitem, upper, values))
+            # h & ~uf: the upper bounds of h that are not above f, none iff f <= h
+            return any(map((~uf).__and__, hs)) or not has_meet and uf not in hs
 
         return [i for i in indices if fails(i)]
 
     fns = set(polys)
-    if has_meet and has_join:
-        # H[c][v] is then a join of members of P, so in P, and a certified
-        # f is their meet, so in P too: G = P certifies exactly P.
-        left = [i for i, f in enumerate(members) if f.values not in fns]
-    else:
-        left = uncertified(range(len(members)), fns)
+    left = uncertified(range(len(members)), fns)
     rounds = attempts = 0
     if left and gens:
         attempts = sum(len(polys) ** g.arity for g in gens)
@@ -506,7 +499,10 @@ def verify_generation(lat: Lattice, n: int,
     separate conditions, but one shared pass over the class checks that
     meet for every member, with the chis that fail a part set to 0; a
     member that fails it is a counterexample (for A, one not shown to lie
-    in the clone).  When A passes, the report's reached is the class."""
+    in the clone).  When A passes, the report's reached is the class.
+    The class is counted before it is kept, so one past the count budget
+    raises BudgetExceeded without holding its blocks."""
+    count_class(lat, n, "idempotent")
     ids = enumerate_class(lat, n, "idempotent")
     base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in reduced_generator_set(lat))]
     report, a, b = _anchor_tables(lat, n, base, budget)

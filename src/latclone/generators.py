@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import itemgetter
+from operator import and_
 
 from .errors import (
     ArityMismatch,
@@ -38,6 +38,7 @@ from .functable import (
     _cells,
     _check_same_lattice,
     _member,
+    _packer,
     check_idempotent_aggregation,
     is_aggregation,
     tuple_index,
@@ -226,15 +227,13 @@ def h_majorant(pool, f: FnTable, a) -> FnTable:
     _check_same_lattice(f, *members)
     if any(g.arity != f.arity for g in members):
         raise ArityMismatch(f"pool members must have the arity {f.arity} of f")
-    fa, k, join_t = f(a), tuple_index(f.lattice.size, a), f.lattice.join_table
+    fa, k, up = f(a), tuple_index(f.lattice.size, a), _packer(f.lattice, "up")
     agreeing = [values for values in vectors if values[k] == fa]
     if not agreeing:
         raise EmptyAgreementSet(f"no pool member takes value {fa} at {a}")
-    # a cell's join over the members is the join of its distinct values
-    return FnTable(f.lattice, f.arity, tuple(
-        reduce(lambda x, y: join_t[x][y], set(map(itemgetter(c), agreeing)))
-        for c in range(len(f.values))
-    ))
+    # up(x join y) = up(x) & up(y): the join is the and of the up-set masks
+    return FnTable(f.lattice, f.arity,
+                   up.unpack(reduce(and_, map(up.pack, agreeing)), len(f.values)))
 
 
 def h_id(f: FnTable, a) -> FnTable:

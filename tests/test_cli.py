@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -258,6 +259,20 @@ def test_verify_budget_exit(capsys):
     )
     assert code == 3
     assert "BudgetExceeded" in err
+
+
+def test_verify_past_the_count_budget_exits_before_keeping_the_class(capsys):
+    # chain8 at arity 2 has over 10**7 idempotent members, 64 bytes each:
+    # the class is counted, not kept, before the budget trips
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["verify", "--lattice", "chain:8", "--arity", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "BudgetExceeded: class size exceeds the count budget 10000000\n"
+    assert peak < 40 * 2**20
 
 
 def test_closure_fixpoint(capsys):

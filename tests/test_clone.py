@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -450,10 +451,60 @@ def test_certificate_join_alone_leaves_the_meet_uncertified(diamond):
     fns = {f.values for f in (projection(diamond, 2, 1), projection(diamond, 2, 2), join)}
     upper = clone._majorants(diamond, fns, True)
     a1a2 = diamond.index("a1") * diamond.size + diamond.index("a2")
-    assert upper[a1a2][diamond.bottom] == 0
+    assert upper[a1a2][diamond.bottom] == -1
     members = [projection(diamond, 2, 1), meet, join]
     report = certify([join], members)
     assert [f.values for f in report.reached] == [members[0].values, join.values]
+
+
+def _reference_majorants(lat, fns: set, has_join: bool) -> list[list[int]]:
+    """The majorant table walked pair by pair: upper[c][v] is the pointwise
+    join of {g in fns : g(c) <= v} packed as down-set masks, or 0 when that
+    set is empty or, without the join, when its join is not in fns.  The
+    join at cell x is read off the distinct pairs (g(c), g(x))."""
+    m, leq, join_t = lat.size, lat.leq_table, lat.join_table
+    pack = _packer(lat, "down").pack
+    above = [[v for v in range(m) if leq[a][v]] for a in range(m)]
+    columns = list(zip(*fns))
+    upper = []
+    for col in columns:
+        rows = [[None] * len(columns) for _ in range(m)]  # None: nothing joined yet
+        for x, other in enumerate(columns):
+            for a, b in set(zip(col, other)):
+                for v in above[a]:
+                    acc = rows[v][x]
+                    rows[v][x] = b if acc is None else join_t[acc][b]
+        upper.append([
+            pack(row) if row[0] is not None and (has_join or tuple(row) in fns) else 0
+            for row in rows
+        ])
+    return upper
+
+
+@pytest.mark.parametrize(
+    "lat,n",
+    [(chain(3), 2), (m_lattice(2), 2), (n5(), 2), (m_lattice(3), 2), (chain(3), 3)],
+    ids=lambda v: getattr(v, "name", v),
+)
+@pytest.mark.parametrize("has_join", [True, False], ids=["join", "no-join"])
+def test_majorants_match_the_pair_walk(lat, n, has_join):
+    # G is P plus one generator level; the reference's 0 and the table's -1
+    # both mark an entry that certifies nothing
+    base = _reduced_base(lat)
+    polys = clone._lattice_polynomials(lat, n, True, True)
+    level = sorted(set(polys) | clone._generator_level(base[2:], polys, lat, n))
+    cells = lat.size**n
+    up, down = _packer(lat, "up"), _packer(lat, "down")
+    rng = random.Random(f"{lat.name}:{n}")
+    kept = 0
+    for size in (1, 2, 7, len(level) // 8, len(level)):
+        fns = set(rng.sample(level, size))
+        got = clone._majorants(lat, fns, has_join)
+        want = _reference_majorants(lat, fns, has_join)
+        assert [[None if h == -1 else up.unpack(h, cells) for h in row] for row in got] \
+            == [[None if h == 0 else down.unpack(h, cells) for h in row] for row in want]
+        kept += sum(h != -1 for row in got for h in row)
+    assert kept
 
 
 def test_certificate_needs_the_meet_in_the_base(chain2):
@@ -561,6 +612,20 @@ def test_certificate_argument_errors(chain2, chain3):
         certify(_meet_join(chain3), ids)
     with pytest.raises(ArityMismatch):
         certify(_meet_join(chain2), ids + [projection(chain2, 3, 1)])
+
+
+@pytest.mark.parametrize(
+    "lat,chis,attempts,insertions",
+    [(m_lattice(3), 497, 834176, 13472), (chain(4), 184, 174960, 3188),
+     (boolean(2), 196, 145800, 2781)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_part_a_certifies_every_chi_at_arity_3(lat, chis, attempts, insertions):
+    # the classes are past the count budget; the chis alone are certified
+    report, a, b = clone._anchor_tables(lat, 3, _reduced_base(lat), DEFAULT_CLOSURE_BUDGET)
+    assert len(clone._admissible_pairs(lat, 3)) == len(report.reached) == chis
+    assert (report.rounds, report.attempts, report.insertions) == (1, attempts, insertions)
+    assert sum(map(bool, itertools.chain.from_iterable(a))) == chis and a == b
 
 
 def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):
