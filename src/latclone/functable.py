@@ -124,6 +124,12 @@ def _cells(lat: Lattice, n: int) -> _Cells:
     )
 
 
+@per_lattice
+def _elements(lat: Lattice) -> frozenset:
+    """The element indices 0..m-1, the values a table may hold."""
+    return frozenset(range(lat.size))
+
+
 @dataclass(frozen=True, slots=True)
 class FnTable:
     """Total n-ary function on a lattice, one value per input tuple."""
@@ -142,7 +148,7 @@ class FnTable:
         if len(self.values) != m**self.arity:
             raise ArityMismatch(f"value vector has {len(self.values)} entries, "
                                 f"expected {m**self.arity}")
-        if min(self.values) < 0 or max(self.values) >= m:
+        if not _elements(self.lattice).issuperset(self.values):
             raise IndexOutOfRange("value outside element range")
 
     def __call__(self, xs) -> int:
@@ -395,7 +401,13 @@ def iter_monotone_values(lat: Lattice, n: int, boundary: bool = False, diagonal:
     order guarantees before the key or the base recurs, so a consumer that
     stops early has made the walk find no row beyond the vectors it took,
     and build at most one block beyond them.  enumerate_class appends the
-    blocks to one bytearray and keeps it behind a read-only memoryview."""
+    blocks to one bytearray and keeps it behind a read-only memoryview.
+
+    A walk that runs to its end leaves its row memos and row joins on the
+    lattice, per arity and flags; the walk is deterministic, so a later one
+    finds every memo and join it looks up.  A walk cut by a count budget or
+    dropped by its consumer leaves nothing, so a huge class pins no memo;
+    tails stay per walk, as kept they would hold seven times as much."""
     vector, blocks = _walk(lat, n, boundary, diagonal, interval, cell_budget)
     return itertools.chain.from_iterable(map(vector.iter_unpack, blocks))
 
@@ -444,6 +456,13 @@ def _walk_tables(lat: Lattice, n: int, boundary: bool, diagonal: bool,
     return _WalkTables(allowed, start, outer, inner)
 
 
+@per_lattice
+def _walk_memos(lat: Lattice, n: int, boundary: bool, diagonal: bool, interval: bool) -> list:
+    """[(memos, joins)] of the first walk on this key that ran to its end,
+    empty until one has."""
+    return []
+
+
 def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
           cell_budget=DEFAULT_CELL_BUDGET):
     """The struct of one packed value vector and the blocks of the walk
@@ -465,8 +484,10 @@ def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
     last = rows - 1
     offset = start * row_struct.size  # where the tail begins in a vector
     bottom_row = pack(*(lat.bottom,) * m)
-    joins = {}  # pointwise joins of two rows; the same pairs recur often
-    memos = [{} for _ in range(rows)]
+    # the row memos and the pointwise joins of two rows (the same pairs
+    # recur often): those of a walk that ran to its end, or this walk's own
+    kept = _walk_memos(lat, n, boundary, diagonal, interval)
+    memos, joins = kept[0] if kept else ([{} for _ in range(rows)], {})
     tails = {}  # tail key -> the tail's candidates, each its rows concatenated
     chosen = [None] * rows
     exhausted = iter(())
@@ -558,6 +579,7 @@ def _walk(lat: Lattice, n: int, boundary=False, diagonal=False, interval=False,
                     tails[keys] = seen
                 r -= 1
             else:
+                kept[:] = [(memos, joins)]
                 return
             chosen[r] = row
             r += 1

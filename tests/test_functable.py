@@ -1,3 +1,5 @@
+import copy
+import gc
 import itertools
 import random
 import re
@@ -46,6 +48,7 @@ from latclone.functable import (
     PackedClass,
     _cells,
     _packer,
+    _walk_memos,
     _walk_tables,
     all_tuples,
     compose_values,
@@ -138,6 +141,13 @@ def test_projection_tables(chain2, chain3):
     assert ident.values == (0, 1, 2)
     with pytest.raises(IndexOutOfRange):
         projection(chain3, 2, 3)
+
+
+@pytest.mark.parametrize("bad", [3, -1, 1.5, "a", None])
+def test_a_value_outside_the_elements_is_refused(chain3, bad):
+    # values that do not compare with ints are refused the same way
+    with pytest.raises(IndexOutOfRange, match="value outside element range"):
+        FnTable(chain3, 2, (0,) * 8 + (bad,))
 
 
 def test_compose_meet_of_projections(chain3):
@@ -614,6 +624,79 @@ def test_a_count_budget_cut_with_a_tail_holds_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def walk_memos(lat, n, cls):
+    """The row memos and row joins that finished walks of the class left on lat."""
+    flags = {"boundary": False, "diagonal": False, "interval": False, **REFERENCE_FLAGS[cls]}
+    return _walk_memos(lat, n, *flags.values())
+
+
+# every class of at most this many members is enumerated cold and warm
+WARM_CHECK_MEMBERS = 10**6
+
+
+@pytest.mark.parametrize("lat", [chain(2), chain(3), chain(4), m_lattice(2), m_lattice(3), n5(),
+                                 *RANDOM_LATTICES], ids=lambda lat: lat.name)
+def test_a_warm_walk_repeats_the_cold_one_without_a_cell_walk(lat):
+    for n, cls in itertools.product((1, 2, 3), CLASSES):
+        if lat.size**n > 64:
+            continue
+        cold, fresh = copy.deepcopy(lat), copy.deepcopy(lat)  # copies carry no memos
+        assert not walk_memos(cold, n, cls)
+        try:
+            size = count_class(cold, n, cls, count_budget=WARM_CHECK_MEMBERS)
+        except BudgetExceeded:
+            continue
+        ((memos, joins),) = walk_memos(cold, n, cls)
+        recorded = sum(map(len, memos)), len(joins)
+        warm = enumerate_class(cold, n, cls)
+        assert bytes(warm._buffer) == bytes(enumerate_class(fresh, n, cls)._buffer)
+        assert len(warm) == size == count_class(cold, n, cls)
+        # the warm walks found every row memo and join they looked up
+        assert walk_memos(cold, n, cls)[0][0] is memos
+        assert (sum(map(len, memos)), len(joins)) == recorded
+
+
+def test_a_cut_or_abandoned_walk_publishes_no_memo():
+    big = chain(30)
+    with pytest.raises(BudgetExceeded, match="count budget 10"):
+        enumerate_class(big, 2, "monotone", cell_budget=900, count_budget=10)
+    assert not walk_memos(big, 2, "monotone")
+    lat, fresh = chain(4), chain(4)
+    with pytest.raises(BudgetExceeded):
+        count_class(lat, 2, "monotone", count_budget=10)
+    vectors = iter_monotone_values(lat, 2)
+    first = list(itertools.islice(vectors, 5))
+    assert not walk_memos(lat, 2, "monotone")
+    del vectors  # dropped, the walk is closed where it stopped
+    assert not walk_memos(lat, 2, "monotone")
+    # the walks cut short leave the complete one unchanged
+    whole = enumerate_class(lat, 2, "monotone")
+    assert list(whole.vectors())[:5] == first
+    assert bytes(whole._buffer) == bytes(enumerate_class(fresh, 2, "monotone")._buffer)
+    assert walk_memos(lat, 2, "monotone")
+
+
+def test_the_memory_a_walk_keeps_is_small():
+    # the enumeration ladder of the benchmark's enum workload, walked once:
+    # the row memos and joins kept after it stay well below the classes,
+    # 0.7 MB in all against 20 MB for the m3 class alone
+    lats = {lat.name: lat for lat in (chain(2), chain(3), chain(4), m_lattice(2), m_lattice(3), n5())}
+    ladder = [("m3", 2, "idempotent"), ("n5", 2, "idempotent"), ("chain3", 3, "idempotent"),
+              ("chain3", 2, "idempotent"), ("m2", 2, "idempotent"), ("chain4", 2, "idempotent"),
+              ("chain2", 4, "idempotent"), ("chain2", 5, "monotone"), ("chain4", 2, "monotone")]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for name, n, cls in ladder:
+            enumerate_class(lats[name], n, cls)
+            assert walk_memos(lats[name], n, cls)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 3 << 19
 
 
 def chain_binary_monotone_values(m):

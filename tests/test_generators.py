@@ -147,6 +147,36 @@ def test_h_majorant_majorizes_pool_member(chain3):
             assert h == h_majorant(members, f, a)  # the packed pool reads its vectors
 
 
+def plain_majorant(vectors, lat, k, v):
+    """The join, cell by cell, of the value vectors that take v at cell k."""
+    columns = zip(*[values for values in vectors if values[k] == v])
+    return tuple(lat.join_all(set(column)) for column in columns)
+
+
+@pytest.mark.parametrize("lat", [m_lattice(2), n5()], ids=lambda lat: lat.name)
+def test_h_majorant_matches_the_plain_scan(lat):
+    pool = enumerate_class(lat, 2, "idempotent")
+    anchors = all_tuples(lat.size, 2)
+    # the whole pool at the diagonal and off it, slices of either step, a list
+    cases = [(pool, pool[len(pool) // 3], anchors[:2] if len(pool) > 10**5 else anchors)]
+    for part in (pool[::-53], pool[7:len(pool) // 2:11], list(pool[::97])):
+        cases += [(part, f, anchors) for f in (part[0], part[len(part) // 2])]
+    for part, f, points in cases:
+        vectors = [g.values for g in part]
+        for a in points:
+            k = tuple_index(lat.size, a)
+            assert h_majorant(part, f, a).values == plain_majorant(vectors, lat, k, f(a))
+
+
+def test_h_majorant_on_two_byte_fields():
+    lat = chain(257)
+    pool = enumerate_class(lat, 1, "idempotent", cell_budget=lat.size)
+    ident = pool[0]
+    assert h_majorant(pool, ident, (200,)) == ident
+    with pytest.raises(EmptyAgreementSet):
+        h_majorant(pool, FnTable(lat, 1, (0,) * lat.size), (200,))
+
+
 def test_h_majorant_empty_agreement(chain2):
     pool = [join_fn(chain2)]
     outside = FnTable(chain2, 2, (0, 0, 0, 1))  # meet; disagrees at (0,1)

@@ -32,7 +32,8 @@ from latclone.errors import (
     ParseError,
 )
 from latclone.decompose import _operand_slots
-from latclone.functable import _cells, _packer, _walk_tables, from_callable, join_fn, meet_fn
+from latclone.functable import (_cells, _packer, _walk_memos, _walk_tables, from_callable, join_fn,
+                                meet_fn)
 from latclone.generators import parse_spec
 from latclone.lattice import Lattice, per_lattice
 from latclone.terms import format_term_file, parse_term_file
@@ -288,6 +289,7 @@ def test_the_library_builders_keep_one_value_per_instance_and_key():
         lambda lat: _cells(lat, 2),
         lambda lat: _packer(lat, "down"),
         lambda lat: _walk_tables(lat, 2, True, False, True),
+        lambda lat: _walk_memos(lat, 2, True, False, True),
         lambda lat: meet_fn(lat),
         lambda lat: join_fn(lat),
         lambda lat: spec.table(lat),
