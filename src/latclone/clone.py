@@ -286,46 +286,28 @@ def closure(
     )
 
 
-def _lattice_polynomials(lat: Lattice, n: int, has_meet: bool, has_join: bool):
-    """Value vectors of the closure of the n-ary projections under the
-    pointwise meet and join, as far as has_meet and has_join admit them.
-    Both are commutative and idempotent, so each function is combined with
-    every earlier one once, when it comes up; found grows while it is
-    walked.  A combination is one big-int and of packed masks, and only a
-    new result is unpacked."""
-    cells = lat.size**n
-    ops = [(_packer(lat, kind), [], set())
-           for kind, kept in (("down", has_meet), ("up", has_join)) if kept]
-    found = []
-
-    def add(values):
-        found.append(values)
-        for masks, codes, seen in ops:
-            code = masks.pack(values)
-            codes.append(code)
-            seen.add(code)
-
-    for i in range(1, n + 1):
-        add(projection(lat, n, i).values)
-    for i, _ in enumerate(found):
-        for masks, codes, seen in ops:
-            for code in sorted(set(map(codes[i].__and__, codes[:i])) - seen):
-                add(masks.unpack(code, cells))
-    return found
+def _seed(lat: Lattice, n: int, has_meet: bool, has_join: bool) -> list:
+    """The value vectors the generators are applied to: the n-ary
+    projections, then the meet of all arguments when has_meet and their
+    join when has_join, each once (at n = 1 both are the projection)."""
+    cells = _cells(lat, n)
+    fns = [projection(lat, n, i).values for i in range(1, n + 1)]
+    fns += [fn for fn, kept in ((cells.lows, has_meet), (cells.highs, has_join)) if kept]
+    return list(dict.fromkeys(fns))
 
 
-def _generator_level(gens, polys, lat: Lattice, n: int) -> set:
+def _generator_level(gens, seed, lat: Lattice, n: int) -> set:
     """The value vectors of every generator applied to every tuple of its
-    arity over polys."""
+    arity over seed."""
     by_arity: dict[int, list] = {}
     for g in gens:
         by_arity.setdefault(g.arity, []).append(g.values)
     packed: list[int] = []
     pack, _, table, compose = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
-    packed += map(pack, polys)
+    packed += map(pack, seed)
     out = set()
     for k, values in by_arity.items():
-        idxs = itertools.product(range(len(polys)), repeat=k)
+        idxs = itertools.product(range(len(seed)), repeat=k)
         out.update(compose(idxs, list(map(table, values))))
     return set(map(tuple, out))
 
@@ -357,16 +339,17 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     """Show members to lie in the clone that base generates, by the
     majorant argument instead of a search of the clone.
 
-    P is the closure of the n-ary projections under those of the pointwise
-    meet and join that base holds.  For a set G of clone members, H[c][v]
+    S is the n-ary projections with the pointwise meet and join of all
+    arguments, as far as base holds the meet and the join: what the
+    paper's iotas are applied to.  For a set G of clone members, H[c][v]
     is the pointwise join of {g in G : g(c) <= v}.  A member f is certified
     when H[c][f(c)] >= f at every cell c: f is then the meet over c of the
     H[c][f(c)], each a join of clone members.  An empty set certifies
     nothing; without the join in base, H[c][v] counts only when it is
     itself in G, and without the meet, f must also equal one H[c][f(c)].
 
-    G is P first.  If a member is left, G gains one generator level:
-    every other base function applied to every tuple of its arity over P,
+    G is S first.  If a member is left, G gains one generator level:
+    every other base function applied to every tuple of its arity over S,
     composed by the closure's kernel.  budget bounds those applications,
     and BudgetExceeded is raised before any is made when the level needs
     more.  Each member and each H[c][v] is packed once as up-set masks
@@ -377,9 +360,11 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     Every base function must be an idempotent aggregation function
     (NotIdempotent otherwise), so the clone lies inside the idempotent
     class.  A member left uncertified is not shown to lie in the clone,
-    which does not prove it lies outside.  The report's reached holds the
-    certified members, rounds the generator levels used (0 or 1),
-    attempts the generator applications and insertions the number of
+    which does not prove it lies outside: as G is built from S alone, a
+    base without iotas can leave meet-join polynomials of arity 3 and up
+    uncertified on a lattice that is not a chain.  The report's reached
+    holds the certified members, rounds the generator levels used (0 or
+    1), attempts the generator applications and insertions the number of
     distinct functions in G.
     """
     base, members = list(base), list(members)
@@ -399,7 +384,7 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
     base_keys = {g.key() for g in base}
     has_meet, has_join = meet_key in base_keys, join_key in base_keys
     gens = [g for g in base if g.key() not in (meet_key, join_key)]
-    polys = _lattice_polynomials(lat, n, has_meet, has_join)
+    seed = _seed(lat, n, has_meet, has_join)
     pack = _packer(lat, "up").pack
     packed = [pack(f.values) for f in members]
 
@@ -414,17 +399,17 @@ def certify(base, members, budget: int = DEFAULT_CLOSURE_BUDGET) -> ClosureRepor
 
         return [i for i in indices if fails(i)]
 
-    fns = set(polys)
+    fns = set(seed)
     left = uncertified(range(len(members)), fns)
     rounds = attempts = 0
     if left and gens:
-        attempts = sum(len(polys) ** g.arity for g in gens)
+        attempts = sum(len(seed) ** g.arity for g in gens)
         if attempts > budget:
             raise BudgetExceeded(
                 f"the generator level needs {attempts} applications, "
                 f"over the budget {budget}"
             )
-        fns |= _generator_level(gens, polys, lat, n)
+        fns |= _generator_level(gens, seed, lat, n)
         rounds = 1
         left = uncertified(left, fns)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
@@ -125,9 +126,10 @@ def _cells(lat: Lattice, n: int) -> _Cells:
 
 
 @per_lattice
-def _elements(lat: Lattice) -> frozenset:
-    """The element indices 0..m-1, the values a table may hold."""
-    return frozenset(range(lat.size))
+def _elements(lat: Lattice) -> bytes | frozenset:
+    """The element indices 0..m-1, the values a table may hold: as bytes
+    when each fits one (m <= 256), else as a frozenset."""
+    return bytes(range(lat.size)) if lat.size <= 256 else frozenset(range(lat.size))
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +150,16 @@ class FnTable:
         if len(self.values) != m**self.arity:
             raise ArityMismatch(f"value vector has {len(self.values)} entries, "
                                 f"expected {m**self.arity}")
-        if not _elements(self.lattice).issuperset(self.values):
+        elements = _elements(self.lattice)
+        try:
+            # bytes and array refuse a value that is not an int, which a test
+            # by value would take for an element (1.0 for 1); a one-byte
+            # table is inside when deleting the elements leaves no byte
+            outside = (bytes(self.values).translate(None, elements) if m <= 256
+                       else not elements.issuperset(array("q", self.values)))
+        except (TypeError, ValueError, OverflowError):
+            outside = True
+        if outside:
             raise IndexOutOfRange("value outside element range")
 
     def __call__(self, xs) -> int:

@@ -488,11 +488,11 @@ def _reference_majorants(lat, fns: set, has_join: bool) -> list[list[int]]:
 )
 @pytest.mark.parametrize("has_join", [True, False], ids=["join", "no-join"])
 def test_majorants_match_the_pair_walk(lat, n, has_join):
-    # G is P plus one generator level; the reference's 0 and the table's -1
-    # both mark an entry that certifies nothing
+    # G is the seed plus one generator level; the reference's 0 and the
+    # table's -1 both mark an entry that certifies nothing
     base = _reduced_base(lat)
-    polys = clone._lattice_polynomials(lat, n, True, True)
-    level = sorted(set(polys) | clone._generator_level(base[2:], polys, lat, n))
+    seed = clone._seed(lat, n, True, True)
+    level = sorted(set(seed) | clone._generator_level(base[2:], seed, lat, n))
     cells = lat.size**n
     up, down = _packer(lat, "up"), _packer(lat, "down")
     rng = random.Random(f"{lat.name}:{n}")
@@ -616,8 +616,8 @@ def test_certificate_argument_errors(chain2, chain3):
 
 @pytest.mark.parametrize(
     "lat,chis,attempts,insertions",
-    [(m_lattice(3), 497, 834176, 13472), (chain(4), 184, 174960, 3188),
-     (boolean(2), 196, 145800, 2781)],
+    [(m_lattice(3), 497, 4750, 360), (chain(4), 184, 3750, 294),
+     (boolean(2), 196, 3125, 219), (n5(), 467, 5375, 435), (chain(3), 63, 1750, 108)],
     ids=lambda v: getattr(v, "name", v),
 )
 def test_part_a_certifies_every_chi_at_arity_3(lat, chis, attempts, insertions):
@@ -626,6 +626,46 @@ def test_part_a_certifies_every_chi_at_arity_3(lat, chis, attempts, insertions):
     assert len(clone._admissible_pairs(lat, 3)) == len(report.reached) == chis
     assert (report.rounds, report.attempts, report.insertions) == (1, attempts, insertions)
     assert sum(map(bool, itertools.chain.from_iterable(a))) == chis and a == b
+
+
+def _without(drop):
+    """reduced_generator_set without the iota labelled drop."""
+    return lambda lat: [s for s in reduced_generator_set(lat) if s.format() != drop]
+
+
+@pytest.mark.parametrize(
+    "lat,n,drop,uncertified,chis",
+    [(chain(3), 2, "iota[0,1,2;0]", 2, 17), (chain(3), 3, "iota[0,1,2;0]", 12, 63),
+     (n5(), 2, "iota[0,a,1;0]", 2, 67), (n5(), 2, "iota[a,b,1;a]", 2, 67)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_part_a_fails_without_a_needed_iota(lat, n, drop, uncertified, chis, monkeypatch):
+    # the seed and its level are not a vacuous certificate: without one
+    # needed iota, part A leaves chis uncertified while every operand of
+    # part B still tabulates to its chi
+    monkeypatch.setattr(clone, "reduced_generator_set", _without(drop))
+    base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in clone.reduced_generator_set(lat))]
+    report, a, b = clone._anchor_tables(lat, n, base, DEFAULT_CLOSURE_BUDGET)
+    assert len(base) == len(_reduced_base(lat)) - 1
+    assert [sum(map(bool, itertools.chain.from_iterable(t))) for t in (a, b)] \
+        == [chis - uncertified, chis]
+    assert len(clone._admissible_pairs(lat, n)) - len(report.reached) == uncertified
+
+
+def test_verify_generation_fails_part_a_alone_without_a_needed_iota(chain3, monkeypatch):
+    monkeypatch.setattr(clone, "reduced_generator_set", _without("iota[0,1,2;0]"))
+    # 55 of the 64 members need one of the two chis left uncertified
+    report = verify_generation(chain3, 2)
+    assert not report.closure_pass and report.decomposition_pass
+    assert len(report.counterexamples) == 55
+
+
+def test_verify_generation_on_chain2_at_arity_5():
+    # the seed certifies every chi at once: no generator level is built
+    report = verify_generation(chain(2), 5)
+    assert report.ok and report.id_count == 7579
+    assert report.closure_report.rounds == 0
+    assert len(report.closure_report.reached) == 7579
 
 
 def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):

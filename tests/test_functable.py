@@ -150,6 +150,16 @@ def test_a_value_outside_the_elements_is_refused(chain3, bad):
         FnTable(chain3, 2, (0,) * 8 + (bad,))
 
 
+@pytest.mark.parametrize("size", [3, 257])
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), -1, 257, 2**70],
+                         ids=["float", "fraction", "negative", "257", "huge"])
+def test_a_value_that_is_not_an_element_index_is_refused(size, bad):
+    # 1.0 and Fraction(1) hash and compare as the element 1; one-byte and
+    # wider tables are checked apart
+    with pytest.raises(IndexOutOfRange, match="value outside element range"):
+        FnTable(chain(size), 1, (0, bad, *range(2, size)))
+
+
 def test_compose_meet_of_projections(chain3):
     mt = meet_fn(chain3)
     built = compose(mt, [projection(chain3, 2, 1), projection(chain3, 2, 2)])
