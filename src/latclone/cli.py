@@ -2,7 +2,7 @@
 
 Subcommands: lattice check, enum, decompose, verify, closure, count.
 All output is deterministic plain text on stdout (or --out).  Exit codes:
-0 success, 2 domain/validation error, 3 budget exhausted, 4 internal
+0 success, 2 domain/validation error, 3 budget or memory exhausted, 4 internal
 self-check failure.
 """
 
@@ -207,8 +207,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except (BudgetExceeded, MemoryError) as exc:
+        print(f"{type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BUDGET
     except (LatcloneError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -146,28 +146,54 @@ def _padded(values) -> bytes:
     return bytes(values).ljust(256, b"\0")
 
 
+def _commutes(values, m: int) -> bool:
+    """Whether a binary table equals its transpose, its columns end to end."""
+    return values == tuple(itertools.chain.from_iterable(values[x::m] for x in range(m)))
+
+
 class _Stream:
     """Per-arity composition stream: walks argument tuples level by level,
-    level d holding the tuples whose maximum reached-index is exactly d."""
+    level d holding the tuples whose maximum reached-index is exactly d.
+    With mirror (binary commutative tables) a level is the tuples (d, x),
+    then the number of attempts on the tuples (x, d), then (d, d)."""
 
-    def __init__(self, arity: int, bases: list):
-        self.arity = arity
-        self.bases = bases  # base tables, as the kernel's table() gives them
-        self.level = 0
-        self._pending = None
+    def __init__(self, arity: int, tables: list, compose, cells: int, mirror: bool):
+        self.arity, self.tables, self._compose, self._mirror = arity, tables, compose, mirror
+        self._chunk = max(1, 2**16 // (cells * len(tables)))  # tuples
+        self.level = -1
+        self._advance()
 
-    def next_batch(self, limit: int):
-        """Argument tuples of the current level; None when the level is
-        beyond limit (stream blocked until more functions are reached)."""
-        if self.level >= limit:
-            return None
-        if self._pending is None:
-            self._pending = _tuples_with_max(self.level, self.arity)
-        return self._pending
+    def _advance(self):
+        d = self.level = self.level + 1
+        self._segments = iter([zip(itertools.repeat(d), range(d)), d * len(self.tables),
+                               [(d, d)]] if self._mirror else [_tuples_with_max(d, self.arity)])
+        self._tuples, self._buf, self._pos, self._left = iter(()), [], 0, 0
 
-    def advance(self):
-        self.level += 1
-        self._pending = None
+    def take(self, n: int, limit: int):
+        """The next at most n attempts, never none: a list of composites or
+        a number of counted attempts; None when the level is at limit
+        (blocked until more functions are reached)."""
+        while self.level < limit:
+            if self._left:
+                n = min(n, self._left)
+                self._left -= n
+                return n
+            pos = self._pos
+            if pos < len(self._buf):
+                self._pos += n
+                return self._buf[pos:pos + n]
+            chunk = list(itertools.islice(self._tuples, self._chunk))
+            if chunk:
+                self._buf, self._pos = self._compose(chunk, self.tables), 0
+                continue
+            segment = next(self._segments, None)
+            if segment is None:
+                self._advance()
+            elif isinstance(segment, int):
+                self._left = segment
+            else:
+                self._tuples = iter(segment)
+        return None
 
 
 def closure(
@@ -198,7 +224,12 @@ def closure(
     bytes.translate over each base table, padded to 256 bytes, reads the
     composite as bytes; the reached set is deduplicated in that form, and
     only a new composite becomes a tuple.  Wider indices are read by one
-    itemgetter per tuple.  n must be at least 1 (ArityMismatch).
+    itemgetter per tuple.  Each stream composes ahead within a level, a
+    chunk of at most 2**16 composite cells (or one tuple), and a turn
+    slices its attempts out of that buffer.  A stream of binary
+    commutative tables only counts the tuples (x, d) of level d: each
+    t(f_x, f_d) = t(f_d, f_x) was attempted as (d, x) earlier in the
+    level, so they insert nothing.  n must be at least 1 (ArityMismatch).
     """
     base = list(base)
     if budget < 1:
@@ -222,8 +253,10 @@ def closure(
 
     by_arity: dict[int, list] = {}
     for f in base:
-        by_arity.setdefault(f.arity, []).append(table(f.values))
-    streams = [_Stream(k, by_arity[k]) for k in sorted(by_arity)]
+        by_arity.setdefault(f.arity, []).append(f.values)
+    streams = [_Stream(k, list(map(table, vs)), compose, lat.size**n,
+                       k == 2 and all(_commutes(v, lat.size) for v in vs))
+               for k, vs in sorted(by_arity.items())]
 
     missing = None if until_keys is None else set(until_keys) - {f.key() for f in reached}
     insertions = attempts = 0
@@ -236,40 +269,40 @@ def closure(
         for stream in streams:
             if budget_hit or done:
                 break
-            tables = stream.bases
+            width = len(stream.tables)
             served = 0
             while served < quantum:
-                batch = stream.next_batch(len(packed))
-                if batch is None:
+                # the attempts a one-tuple-at-a-time loop would make this turn
+                outs = stream.take(-(-(quantum - served) // width) * width, len(packed))
+                if outs is None:
                     break  # blocked until reached grows
-                # the tuples a one-attempt-at-a-time loop would take this turn
-                chunk = list(itertools.islice(batch, -(-(quantum - served) // len(tables))))
-                if not chunk:
-                    stream.advance()
-                    continue
                 progressed = True
-                outs = compose(chunk, tables)
-                # an attempt is due past the budget: cut there
-                budget_hit = len(outs) > budget - attempts
-                if budget_hit:
-                    del outs[budget - attempts:]
-                if not seen.issuperset(outs):
-                    for j, out in enumerate(outs):
-                        if out in seen:
-                            continue
-                        seen.add(out)
-                        values = tuple(out)
-                        reached.append(FnTable(lat, n, values))
-                        packed.append(pack(out))
-                        insertions += 1
-                        if missing is not None:
-                            missing.discard((n, values))
-                            if not missing:
-                                done, budget_hit = True, False
-                                del outs[j + 1:]
-                                break
-                attempts += len(outs)
-                served += len(outs)
+                if isinstance(outs, int):  # counted attempts insert nothing
+                    size = min(outs, budget - attempts)
+                    budget_hit = size < outs
+                else:
+                    # an attempt is due past the budget: cut there
+                    budget_hit = len(outs) > budget - attempts
+                    if budget_hit:
+                        del outs[budget - attempts:]
+                    if not seen.issuperset(outs):
+                        for j, out in enumerate(outs):
+                            if out in seen:
+                                continue
+                            seen.add(out)
+                            values = tuple(out)
+                            reached.append(FnTable(lat, n, values))
+                            packed.append(pack(out))
+                            insertions += 1
+                            if missing is not None:
+                                missing.discard((n, values))
+                                if not missing:
+                                    done, budget_hit = True, False
+                                    del outs[j + 1:]
+                                    break
+                    size = len(outs)
+                attempts += size
+                served += size
                 if budget_hit or done:
                     break
         if not progressed and not done:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from latclone import enumerate_class, format_function, format_lattice, functable, n5, to_table
+from latclone import clone, enumerate_class, format_function, format_lattice, functable, n5, to_table
 from latclone.cli import load_lattice, main
 from latclone.errors import LatcloneError
 from latclone.functable import from_callable, projection
@@ -290,6 +290,19 @@ def test_closure_budget_exit(capsys):
     )
     assert code == 3
     assert "budget_hit=true" in out
+
+
+@pytest.mark.parametrize("exc,line", [(MemoryError(), "MemoryError: out of memory\n"),
+                                      (MemoryError("no room"), "MemoryError: no room\n")])
+def test_closure_out_of_memory_is_one_line_and_the_budget_exit(capsys, monkeypatch, exc, line):
+    # a large arity runs out of memory building the projections; no real
+    # allocation here, the closure just raises
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(clone, "closure", exhausted)
+    code, out, err = run(capsys, ["closure", "--lattice", "chain:2", "--arity", "28"])
+    assert (code, out, err) == (3, "", line)
 
 
 def test_closure_bad_budget_exit(capsys):

@@ -392,6 +392,129 @@ def test_closure_matches_reference_on_arbitrary_bases(case):
     assert _fields(closure(base, n, budget)) == _reference_closure(base, n, budget)
 
 
+# ------------------------------------------------- mirrored commutative levels
+
+
+def _reference_trace(base, n):
+    """The reference's fixpoint fields and the argument tuple, as indices
+    into its reached list, of each of its attempts in order."""
+    calls = []
+
+    def traced(lookup, gvals, compose=compose_values):
+        calls.append(gvals)
+        return compose(lookup, gvals)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(globals(), "compose_values", traced)
+        fields = _reference_closure(base, n, DEFAULT_CLOSURE_BUDGET)
+    index = {values: i for i, values in enumerate(fields[0])}
+    return fields, [tuple(index[v] for v in gvals) for gvals in calls]
+
+
+def _composed_tuples(monkeypatch) -> list:
+    """Patches the closure's kernel to record the size of every batch of
+    argument tuples it composes; returns the list of sizes."""
+    sizes, kernel = [], clone._gather_kernel
+
+    def counting(*args):
+        pack, form, table, compose = kernel(*args)
+
+        def counted(idx_tuples, tables):
+            idx_tuples = list(idx_tuples)
+            sizes.append(len(idx_tuples))
+            return compose(idx_tuples, tables)
+
+        return pack, form, table, counted
+
+    monkeypatch.setattr(clone, "_gather_kernel", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("lat,n", [(n5(), 3), (m_lattice(3), 3), (chain(2), 4)],
+                         ids=["n5-3", "m3-3", "chain2-4"])
+def test_mirrored_fixpoint_and_cuts_match_reference(lat, n, monkeypatch):
+    base = _meet_join(lat)
+    assert all(clone._commutes(f.values, lat.size) for f in base)
+    fields, trace = _reference_trace(base, n)
+    sizes = _composed_tuples(monkeypatch)
+    got = closure(base, n)
+    assert _fields(got) == fields and not got.budget_hit
+    # the tuples (x, d) of every level d are counted, not composed
+    levels = got.rounds
+    assert sum(sizes) == got.attempts // 2 - levels * (levels - 1) // 2
+    # budgets cut at each table of (d, 1), of (1, d) and of (d, d) for one
+    # level d: inside the composed half, the counted half and at the diagonal
+    d = levels // 2
+    at = {}
+    for attempt, idxs in enumerate(trace, 1):
+        at.setdefault(idxs, []).append(attempt)
+    budgets = [b for t in [(d, 1), (1, d), (d, d)] for b in at[t]]
+    assert len(budgets) == 6 and budgets == sorted(budgets)
+    for budget in budgets:
+        got = closure(base, n, budget)
+        assert _fields(got) == _reference_closure(base, n, budget)
+        assert got.budget_hit and got.attempts == budget
+
+
+def _meet_with_join_a(lat, a):
+    """x meet (y join a): idempotent, and not commutative unless a is the
+    bottom or the top."""
+    return from_callable(lat, 2, lambda xs: lat.meet(xs[0], lat.join(xs[1], a)),
+                         name="mja")
+
+
+@pytest.mark.parametrize("lat", [chain(3), m_lattice(2)], ids=lambda lat: lat.name)
+@pytest.mark.parametrize("others", [[], ["meet"], ["meet", "join"]])
+def test_a_noncommutative_table_turns_the_mirror_off(lat, others, monkeypatch):
+    mja = _meet_with_join_a(lat, 1)
+    assert is_idempotent(mja) and not clone._commutes(mja.values, lat.size)
+    base = [{"meet": meet_fn, "join": join_fn}[name](lat) for name in others] + [mja]
+    sizes = _composed_tuples(monkeypatch)
+    got = closure(base, 2)
+    assert _fields(got) == _reference_closure(base, 2, DEFAULT_CLOSURE_BUDGET)
+    assert not got.budget_hit
+    assert sum(sizes) * len(base) == got.attempts  # every tuple composed
+    for budget in (got.attempts // 3, got.attempts // 2 + 1, got.attempts - 1):
+        assert _fields(closure(base, 2, budget)) == _reference_closure(base, 2, budget)
+
+
+@st.composite
+def mixed_stream_cases(draw):
+    lat = draw(st.sampled_from([chain(3), m_lattice(2)]))
+    m = lat.size
+    cell = st.integers(0, m - 1)
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # a commutative table, drawn on and below the diagonal
+            low = draw(st.lists(cell, min_size=m * (m + 1) // 2, max_size=m * (m + 1) // 2))
+            tri = iter(low)
+            grid = [[0] * m for _ in range(m)]
+            for x in range(m):
+                for y in range(x + 1):
+                    grid[x][y] = grid[y][x] = next(tri)
+            values = tuple(itertools.chain.from_iterable(grid))
+        else:
+            values = tuple(draw(st.lists(cell, min_size=m * m, max_size=m * m)))
+        base.append(FnTable(lat, 2, values))
+    if draw(st.booleans()):
+        base.append(FnTable(lat, 3, tuple(draw(st.lists(cell, min_size=m**3,
+                                                        max_size=m**3)))))
+    return base, draw(st.integers(1, 3)), draw(st.integers(1, 3000)), draw(st.randoms())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(mixed_stream_cases(), st.booleans())
+def test_closure_matches_reference_on_mixed_binary_streams(case, with_keys):
+    base, n, budget, rng = case
+    keys = None
+    if with_keys:  # a target drawn from what the run reaches, maybe one unreachable key
+        reached = sorted(closure(base, n, budget).keys)
+        keys = set(rng.sample(reached, rng.randint(1, len(reached))))
+        if rng.random() < 0.3:
+            keys.add((n, ()))
+    assert _fields(closure(base, n, budget, keys)) == _reference_closure(base, n, budget, keys)
+
+
 # ---------------------------------------------------------------- certificate
 
 
