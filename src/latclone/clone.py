@@ -251,12 +251,9 @@ def closure(
     packed += [pack(f.values) for f in reached]
     seen = {form(f.values) for f in reached}
 
-    by_arity: dict[int, list] = {}
-    for f in base:
-        by_arity.setdefault(f.arity, []).append(f.values)
     streams = [_Stream(k, list(map(table, vs)), compose, lat.size**n,
                        k == 2 and all(_commutes(v, lat.size) for v in vs))
-               for k, vs in sorted(by_arity.items())]
+               for k, vs in _by_arity(base)]
 
     missing = None if until_keys is None else set(until_keys) - {f.key() for f in reached}
     insertions = attempts = 0
@@ -319,6 +316,14 @@ def closure(
     )
 
 
+def _by_arity(fns) -> list[tuple[int, list]]:
+    """(k, the value vectors of the k-ary fns) for each arity k, increasing."""
+    by_arity: dict[int, list] = {}
+    for f in fns:
+        by_arity.setdefault(f.arity, []).append(f.values)
+    return sorted(by_arity.items())
+
+
 def _seed(lat: Lattice, n: int, has_meet: bool, has_join: bool) -> list:
     """The value vectors the generators are applied to: the n-ary
     projections, then the meet of all arguments when has_meet and their
@@ -332,14 +337,12 @@ def _seed(lat: Lattice, n: int, has_meet: bool, has_join: bool) -> list:
 def _generator_level(gens, seed, lat: Lattice, n: int) -> set:
     """The value vectors of every generator applied to every tuple of its
     arity over seed."""
-    by_arity: dict[int, list] = {}
-    for g in gens:
-        by_arity.setdefault(g.arity, []).append(g.values)
+    by_arity = _by_arity(gens)
     packed: list[int] = []
-    pack, _, table, compose = _gather_kernel(lat.size, lat.size**n, max(by_arity), packed)
+    pack, _, table, compose = _gather_kernel(lat.size, lat.size**n, by_arity[-1][0], packed)
     packed += map(pack, seed)
     out = set()
-    for k, values in by_arity.items():
+    for k, values in by_arity:
         idxs = itertools.product(range(len(seed)), repeat=k)
         out.update(compose(idxs, list(map(table, values))))
     return set(map(tuple, out))

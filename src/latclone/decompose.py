@@ -26,39 +26,26 @@ def _decompose(f: FnTable, reduced: bool) -> Term:
     """The meet-of-joins iota term shared by both decompositions: the meet,
     over the tuples a in lexicographic order, of the anchor operand of a."""
     check_idempotent_aggregation(f)
-    lat, n, m = f.lattice, f.arity, f.lattice.size
-    slots = _operand_slots(lat, n, reduced)
-    return meet_of([slots[k * m + v] or _anchor_operand(lat, n, k, v, reduced)
-                    for k, v in enumerate(f.values)])
+    lat, n = f.lattice, f.arity
+    return meet_of([_anchor_operand(lat, n, k, v, reduced) for k, v in enumerate(f.values)])
 
 
 @per_lattice
-def _operand_slots(lat: Lattice, n: int, reduced: bool) -> list:
-    """The lattice's anchor operands of arity n in one form: slot k*m + v
-    holds the operand of the k-th tuple when f maps it to v, or None until
-    it is built."""
-    return [None] * lat.size ** (n + 1)
-
-
 def _anchor_operand(lat: Lattice, n: int, k: int, v: int, reduced: bool) -> Term:
-    """The operand of the k-th tuple a when f(a) = v, built once: the join
-    over coordinates i of iota[(meet a, a_i, join a); v](mx, x_i, jx).  When
+    """The operand of the k-th tuple a when f(a) = v: the join over
+    coordinates i of iota[(meet a, a_i, join a); v](mx, x_i, jx).  When
     reduced the third threshold is top and each node is joined with the
     shared tail iota[(meet a, join a, 1); v](mx, jx, jx)."""
-    slots, m = _operand_slots(lat, n, reduced), lat.size
-    if slots[k * m + v] is None:
-        cells = _cells(lat, n)
-        wa, va = cells.lows[k], cells.highs[k]
-        a = [k // m ** (n - 1 - i) % m for i in range(n)]  # cell k is a's index in base m
-        xs = [Var(i) for i in range(1, n + 1)]
-        mx, jx = meet_of(xs), join_of(xs)
-        third = lat.top if reduced else va
-        inner = [Apply(iota_spec(lat, wa, a[i], third, v), (mx, xs[i], jx)) for i in range(n)]
-        if reduced:
-            tail = Apply(iota_spec(lat, wa, va, lat.top, v), (mx, jx, jx))
-            inner = [Join(node, tail) for node in inner]
-        slots[k * m + v] = join_of(inner)
-    return slots[k * m + v]
+    cells, a = _cells(lat, n), all_tuples(lat.size, n)[k]
+    wa, va = cells.lows[k], cells.highs[k]
+    xs = [Var(i) for i in range(1, n + 1)]
+    mx, jx = meet_of(xs), join_of(xs)
+    third = lat.top if reduced else va
+    inner = [Apply(iota_spec(lat, wa, a[i], third, v), (mx, xs[i], jx)) for i in range(n)]
+    if reduced:
+        tail = Apply(iota_spec(lat, wa, va, lat.top, v), (mx, jx, jx))
+        inner = [Join(node, tail) for node in inner]
+    return join_of(inner)
 
 
 def decompose_id(f: FnTable) -> Term:

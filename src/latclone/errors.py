@@ -13,10 +13,6 @@ class NotALattice(LatcloneError):
     """Some pair of elements lacks a meet or a join."""
 
 
-class NotBounded(LatcloneError):
-    """No unique bottom or top element."""
-
-
 class InvalidSize(LatcloneError):
     """Size parameter outside the family's valid range."""
 

@@ -134,7 +134,8 @@ def _elements(lat: Lattice) -> bytes | frozenset:
 
 @dataclass(frozen=True, slots=True)
 class FnTable:
-    """Total n-ary function on a lattice, one value per input tuple."""
+    """Total n-ary function on a lattice, one value per input tuple; a name
+    other than the default "f" must read back from a function file."""
 
     lattice: Lattice
     arity: int
@@ -161,6 +162,8 @@ class FnTable:
             outside = True
         if outside:
             raise IndexOutOfRange("value outside element range")
+        if self.name != "f":  # the default name is known to read back
+            check_label("function name", self.name, FUNCTION_NAME_RESERVED)
 
     def __call__(self, xs) -> int:
         if len(xs) != self.arity:
@@ -189,7 +192,6 @@ class FnTable:
         return all_tuples(self.lattice.size, self.arity)
 
     def renamed(self, name: str) -> "FnTable":
-        check_label("function name", name, FUNCTION_NAME_RESERVED)
         return FnTable(self.lattice, self.arity, self.values, name=name)
 
 
@@ -239,7 +241,6 @@ FUNCTION_NAME_RESERVED = "#"
 
 def from_callable(lat: Lattice, n: int, fn, name: str = "f") -> FnTable:
     """Tabulate a Python callable over all n-tuples."""
-    check_label("function name", name, FUNCTION_NAME_RESERVED)
     values = tuple(fn(xs) for xs in all_tuples(lat.size, n))
     return FnTable(lat, n, values, name=name)
 
@@ -329,7 +330,7 @@ def check_idempotent_aggregation(f: FnTable):
         if values[k] != x:
             point = ",".join([labels[x]] * f.arity)
             raise NotIdempotent(f"f({point}) = {labels[values[k]]} != {labels[x]}")
-    if not is_monotone(f):  # idempotency implies the boundary conditions
+    if not is_aggregation(f):  # idempotency implies the boundary conditions
         raise NotIdempotent("input must be an idempotent aggregation function")
 
 
@@ -340,28 +341,28 @@ def is_intermediate(f: FnTable) -> bool:
     return not _packer(f.lattice, "point").pack(f.values) & ~allowed
 
 
-def pointwise_join(f: FnTable, g: FnTable) -> FnTable:
+def _cellwise(f: FnTable, g: FnTable, what: str):
+    """The pairs of f's and g's values cell by cell, once the two share a
+    lattice and an arity."""
     _check_same_lattice(f, g)
     if f.arity != g.arity:
-        raise ArityMismatch("pointwise join needs equal arities")
+        raise ArityMismatch(f"pointwise {what} needs equal arities")
+    return zip(f.values, g.values)
+
+
+def pointwise_join(f: FnTable, g: FnTable) -> FnTable:
     jt = f.lattice.join_table
-    return FnTable(f.lattice, f.arity, tuple(jt[a][b] for a, b in zip(f.values, g.values)))
+    return FnTable(f.lattice, f.arity, tuple(jt[a][b] for a, b in _cellwise(f, g, "join")))
 
 
 def pointwise_meet(f: FnTable, g: FnTable) -> FnTable:
-    _check_same_lattice(f, g)
-    if f.arity != g.arity:
-        raise ArityMismatch("pointwise meet needs equal arities")
     mt = f.lattice.meet_table
-    return FnTable(f.lattice, f.arity, tuple(mt[a][b] for a, b in zip(f.values, g.values)))
+    return FnTable(f.lattice, f.arity, tuple(mt[a][b] for a, b in _cellwise(f, g, "meet")))
 
 
 def leq_pointwise(f: FnTable, g: FnTable) -> bool:
-    _check_same_lattice(f, g)
-    if f.arity != g.arity:
-        raise ArityMismatch("pointwise comparison needs equal arities")
     leq = f.lattice.leq_table
-    return all(leq[a][b] for a, b in zip(f.values, g.values))
+    return all(leq[a][b] for a, b in _cellwise(f, g, "comparison"))
 
 
 CLASSES = ("aggregation", "idempotent", "monotone")
@@ -729,7 +730,7 @@ def parse_function(text: str, lat: Lattice) -> FnTable:
             if fields[5] != lat.name:
                 raise ParseError(f"function is on lattice {fields[5]!r}, "
                                  f"expected {lat.name!r}", lineno)
-            header = (fields[1], arity)
+            header = (fields[1], arity, lineno)
             continue
         if line == "end":
             ended = True
@@ -753,13 +754,16 @@ def parse_function(text: str, lat: Lattice) -> FnTable:
         raise ParseError("missing function header")
     if not ended:
         raise ParseError("missing 'end' directive")
-    name, arity = header
+    name, arity, header_line = header
     missing = [xs for xs in all_tuples(lat.size, arity) if xs not in rows]
     if missing:
         labs = " ".join(lat.labels[x] for x in missing[0])
         raise ParseError(f"missing tuple ({labs})")
     values = tuple(rows[xs] for xs in all_tuples(lat.size, arity))
-    return FnTable(lat, arity, values, name=name)
+    try:
+        return FnTable(lat, arity, values, name=name)
+    except InvalidArgument as exc:  # the name: the rows have been checked
+        raise ParseError(str(exc), header_line)
 
 
 def format_function(f: FnTable) -> str:

@@ -196,12 +196,16 @@ def make_chi(lat: Lattice, a, b: int) -> FnTable:
     return make_chi_unchecked(lat, a, b)
 
 
-def make_iota(lat: Lattice, a: int, b: int, c: int, d: int) -> FnTable:
-    """Ternary iota_{(a,b,c),d}; requires a <= b <= c and a <= d <= c."""
+def _check_iota(lat: Lattice, a: int, b: int, c: int, d: int) -> None:
     if not (lat.leq(a, b) and lat.leq(b, c) and lat.leq(a, d) and lat.leq(d, c)):
         raise PreconditionViolated(
             "iota parameters must satisfy a <= b <= c and a <= d <= c"
         )
+
+
+def make_iota(lat: Lattice, a: int, b: int, c: int, d: int) -> FnTable:
+    """Ternary iota_{(a,b,c),d}; requires a <= b <= c and a <= d <= c."""
+    _check_iota(lat, a, b, c, d)
     return iota_spec(lat, a, b, c, d).table(lat)
 
 
@@ -274,10 +278,7 @@ def reduce_iota_pair(lat: Lattice, a: int, b: int, c: int, d: int):
                                  join iota_{(a,c,1),d}(x1,x3,x3).
     Returns the two specs; the caller wires the argument pattern.
     """
-    if not (lat.leq(a, b) and lat.leq(b, c) and lat.leq(a, d) and lat.leq(d, c)):
-        raise PreconditionViolated(
-            "iota parameters must satisfy a <= b <= c and a <= d <= c"
-        )
+    _check_iota(lat, a, b, c, d)
     return (
         iota_spec(lat, a, b, lat.top, d),
         iota_spec(lat, a, c, lat.top, d),

@@ -19,7 +19,6 @@ from .errors import (
     InvalidSize,
     NotALattice,
     NotAPartialOrder,
-    NotBounded,
     ParseError,
 )
 
@@ -50,9 +49,6 @@ class Lattice:
     def _index_map(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def leq(self, x: int, y: int) -> bool:
         return self.leq_table[x][y]
 
@@ -64,25 +60,11 @@ class Lattice:
 
     def meet_all(self, xs) -> int:
         """Meet of a nonempty tuple of elements (fold of the binary meet)."""
-        it = iter(xs)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise EmptyTuple("meet_all of empty tuple")
-        for x in it:
-            acc = self.meet_table[acc][x]
-        return acc
+        return _fold(self.meet_table, xs, "meet_all")
 
     def join_all(self, xs) -> int:
         """Join of a nonempty tuple of elements (fold of the binary join)."""
-        it = iter(xs)
-        try:
-            acc = next(it)
-        except StopIteration:
-            raise EmptyTuple("join_all of empty tuple")
-        for x in it:
-            acc = self.join_table[acc][x]
-        return acc
+        return _fold(self.join_table, xs, "join_all")
 
     def leq_tuple(self, xs, ys) -> bool:
         """Component-wise order on tuples of equal arity."""
@@ -118,6 +100,18 @@ class Lattice:
     def __getstate__(self) -> dict:
         """The fields alone: pickles and copies carry no derived value."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _fold(table, xs, what: str) -> int:
+    """The fold of an operation table over a nonempty tuple of elements."""
+    it = iter(xs)
+    try:
+        acc = next(it)
+    except StopIteration:
+        raise EmptyTuple(f"{what} of empty tuple")
+    for x in it:
+        acc = table[acc][x]
+    return acc
 
 
 def per_lattice(build):
@@ -168,10 +162,10 @@ LABEL_RESERVED = ",;[]()#"
 
 
 def check_label(what: str, label: str, reserved: str = LABEL_RESERVED) -> None:
-    """Raise InvalidArgument unless label is nonempty and holds no
-    whitespace, no '->' and none of the reserved characters."""
-    if (not label or any(ch.isspace() or ch in reserved for ch in label)
-            or "->" in label):
+    """Raise InvalidArgument unless label is a nonempty string and holds
+    no whitespace, no '->' and none of the reserved characters."""
+    if (not isinstance(label, str) or not label
+            or any(ch.isspace() or ch in reserved for ch in label) or "->" in label):
         raise InvalidArgument(
             f"bad {what} {label!r}: it must be nonempty, without "
             f"whitespace, '->' or any of {' '.join(reserved)}"
@@ -248,21 +242,16 @@ def from_covers(labels, covers, name: str = "lattice") -> Lattice:
         meet_rows.append(tuple(meet_row))
         join_rows.append(tuple(join_row))
 
-    bottom, top = 0, m - 1
-    for acc_x in range(m):
-        bottom = meet_rows[bottom][acc_x]
-        top = join_rows[top][acc_x]
-    if not all(leq[bottom][x] and leq[x][top] for x in range(m)):
-        raise NotBounded("no unique bottom or top element")
-
+    # every meet and join exists, so the unique minimal element comes first
+    # in the linear extension and the unique maximal one last
     return Lattice(
         name=name,
         labels=new_labels,
         leq_table=leq,
         meet_table=tuple(meet_rows),
         join_table=tuple(join_rows),
-        bottom=bottom,
-        top=top,
+        bottom=0,
+        top=m - 1,
     )
 
 

@@ -64,30 +64,30 @@ class Term:
         return f"{type(self).__name__}<{print_term(self)}>"
 
 
+def _intern(cls, key: tuple, **fields) -> Term:
+    """The live node under key, or a new node of cls holding fields."""
+    node = _interned.get(key)
+    if node is None:
+        node = _interned[key] = object.__new__(cls)
+        for name, value in fields.items():
+            _set(node, name, value)
+    return node
+
+
 class Var(Term):
     __slots__ = ("index",)  # 1-based
 
     def __new__(cls, index: int):
         if index < 1:
             raise ArityMismatch(f"variable index must be >= 1, got {index}")
-        node = _interned.get((cls, index))
-        if node is None:
-            node = _interned[cls, index] = object.__new__(cls)
-            _set(node, "index", index)
-        return node
+        return _intern(cls, (cls, index), index=index)
 
 
 class _Binary(Term):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Term, right: Term):
-        key = (cls, id(left), id(right))
-        node = _interned.get(key)
-        if node is None:
-            node = _interned[key] = object.__new__(cls)
-            _set(node, "left", left)
-            _set(node, "right", right)
-        return node
+        return _intern(cls, (cls, id(left), id(right)), left=left, right=right)
 
 
 class Meet(_Binary):
@@ -107,13 +107,7 @@ class Apply(Term):
             raise InvalidSpec(
                 f"{spec.format()} takes {spec.arity} arguments, got {len(args)}"
             )
-        key = (cls, spec, tuple(map(id, args)))
-        node = _interned.get(key)
-        if node is None:
-            node = _interned[key] = object.__new__(cls)
-            _set(node, "spec", spec)
-            _set(node, "args", args)
-        return node
+        return _intern(cls, (cls, spec, tuple(map(id, args))), spec=spec, args=args)
 
 
 def _left_nested(node_type, terms, name: str) -> Term:
@@ -316,16 +310,10 @@ def parse_term(s: str, n: int) -> Term:
             if len(args) != 2:
                 raise TermSyntaxError(f"'{head}' takes two operands", head_at)
             return (Meet if head == "meet" else Join)(*args)
-        try:
-            spec = parse_spec(head)
+        try:  # Apply refuses a wrong number of arguments
+            return Apply(parse_spec(head), args)
         except InvalidSpec as exc:
             raise TermSyntaxError(str(exc), head_at)
-        if len(args) != spec.arity:
-            raise TermSyntaxError(
-                f"{spec.format()} takes {spec.arity} arguments, got {len(args)}",
-                head_at,
-            )
-        return Apply(spec, tuple(args))
 
     frames: list = []  # (head, head position, operands so far) per open '('
     while True:
@@ -360,22 +348,22 @@ def parse_term(s: str, n: int) -> Term:
     return result
 
 
+def _fold_nodes(t: Term, combine) -> int:
+    """1 + combine([0, *the children's values]) at each distinct node of t,
+    by one post-order walk: linear in the distinct nodes."""
+    values: dict[Term, int] = {}
+    for node, kids in _post_order(t, values):
+        values[node] = 1 + combine([0, *map(values.__getitem__, kids)])
+    return values[t]
+
+
 def size(t: Term) -> int:
     """Node count of t as a tree (a shared subterm counts at every use)."""
-    count, stack = 0, [t]
-    while stack:
-        count += 1
-        stack += _children(stack.pop())
-    return count
+    return _fold_nodes(t, sum)
 
 
 def depth(t: Term) -> int:
-    deepest, stack = 0, [(t, 1)]
-    while stack:
-        node, d = stack.pop()
-        deepest = max(deepest, d)
-        stack += [(kid, d + 1) for kid in _children(node)]
-    return deepest
+    return _fold_nodes(t, max)
 
 
 def parse_term_file(text: str) -> tuple[int, str, Term]:

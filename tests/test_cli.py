@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from latclone import clone, enumerate_class, format_function, format_lattice, functable, n5, to_table
+from latclone import (clone, enumerate_class, format_function, format_lattice, functable,
+                      generators, n5, parse_function, terms, to_table)
 from latclone.cli import load_lattice, main
 from latclone.errors import LatcloneError
 from latclone.functable import from_callable, projection
@@ -244,6 +245,45 @@ def test_verify_chain4(capsys):
         "lattice=chain4 arity=2 id_count=4096 A=pass B=pass",
         "reached=4096 rounds=1 budget_hit=false",
     ]
+
+
+@pytest.mark.parametrize("argv,code,out", [
+    (["verify", "--lattice", "chain:3", "--arity", "2"], 0,
+     "lattice=chain3 arity=2 id_count=64 A=pass B=pass\nreached=64 rounds=1 budget_hit=false\n"),
+    (["verify", "--lattice", "m:2", "--arity", "2"], 0,
+     "lattice=m2 arity=2 id_count=1296 A=pass B=pass\nreached=1296 rounds=1 budget_hit=false\n"),
+    (["verify", "--lattice", "chain:2", "--arity", "4"], 0,
+     "lattice=chain2 arity=4 id_count=166 A=pass B=pass\nreached=166 rounds=0 budget_hit=false\n"),
+    (["closure", "--lattice", "chain:3", "--arity", "2", "--reduced"], 3,
+     "reached=64 rounds=41 budget_hit=true\n"),
+])
+def test_verify_and_closure_output_is_pinned(capsys, argv, code, out):
+    assert run(capsys, argv) == (code, out, "")
+
+
+def test_verify_prints_each_counterexample_of_part_a(capsys, monkeypatch):
+    # without iota[0,1,2;0], two chis of chain3 at arity 2 are left
+    # uncertified, and the 55 members that need one are counterexamples
+    monkeypatch.setattr(clone, "reduced_generator_set", lambda lat: [
+        s for s in generators.reduced_generator_set(lat) if s.format() != "iota[0,1,2;0]"])
+    code, out, err = run(capsys, ["verify", "--lattice", "chain:3", "--arity", "2"])
+    assert (code, err) == (2, "")
+    head, reached, body = out.split("\n", 2)
+    assert head == "lattice=chain3 arity=2 id_count=64 A=fail B=pass"
+    assert reached == "reached=9 rounds=1 budget_hit=false"
+    files = [text + "end\n" for text in body.split("end\n")[:-1]]
+    assert "".join(files) == body
+    lat = load_lattice("chain:3")
+    fns = [parse_function(text, lat) for text in files]
+    assert [format_function(f) for f in fns] == files
+    ids = {f.values for f in enumerate_class(lat, 2, "idempotent")}
+    assert len({f.values for f in fns} & ids) == len(fns) == 55
+
+
+def test_decompose_self_check_failure_exits_4(capsys, monkeypatch, median_file):
+    monkeypatch.setattr(terms, "to_table", lambda t, lat, n: projection(lat, n, 1))
+    code, out, err = run(capsys, ["decompose", "--lattice", "chain:3", median_file, "--reduced"])
+    assert (code, out, err) == (4, "", "internal error: decomposition self-check failed\n")
 
 
 def test_verify_budget_help_names_generator_applications(capsys):

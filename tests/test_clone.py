@@ -37,7 +37,7 @@ from latclone.errors import (
     LatticeMismatch,
     NotIdempotent,
 )
-from latclone.decompose import _operand_slots
+from latclone.decompose import _anchor_operand
 from latclone.functable import FnTable, PackedClass, _packer, compose_values, from_callable
 from latclone.terms import _children, _interned
 
@@ -201,10 +201,11 @@ def test_part_b_leaves_only_the_operand_cache_interned():
     verify_generation(lat, 2)
     gc.collect()
     new = [t for t in _interned.values() if t not in before]
-    kept, stack = set(), list(_operand_slots(lat, 2, True))
+    kept, stack = set(), [_anchor_operand(lat, 2, k, v, True)
+                          for k, v in clone._admissible_pairs(lat, 2)]
     while stack:
         node = stack.pop()
-        if node is not None and node not in kept:
+        if node not in kept:
             kept.add(node)
             stack += _children(node)
     assert new and set(new) <= kept

@@ -961,12 +961,52 @@ def test_function_file_errors(chain2):
         parse_function(header + "0 zzz -> 0\n" + body + "end\n", chain2)
 
 
+ROWS = "0 -> 0\n1 -> 1\n"
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("function f arity 1 lattice chain2\n" + ROWS + "end\n0 -> 0\n", "content after 'end'", 5),
+    ("# a comment\n\nfunc f arity 1 lattice chain2\n",
+     "expected 'function <name> arity <n> lattice <lattice-name>'", 3),
+    ("function f arity 1 lattice chain2 extra\n",
+     "expected 'function <name> arity <n> lattice <lattice-name>'", 1),
+    ("function f arity one lattice chain2\n", "bad arity 'one'", 1),
+    ("function f arity 0 lattice chain2\n", "arity must be >= 1, got 0", 1),
+    ("function f arity 1 lattice chain3\n", "function is on lattice 'chain3', expected 'chain2'", 1),
+    ("function f arity 1 lattice chain2\n0 0\n", "expected '<labels> -> <label>'", 2),
+    ("function f arity 1 lattice chain2\n0 1 -> 0\n",
+     "expected 1 input labels and one output label", 2),
+    ("function f arity 1 lattice chain2\n0 -> 0 1\n",
+     "expected 1 input labels and one output label", 2),
+    ("function f arity 1 lattice chain2\n0 -> 2\n",
+     "\"unknown element label '2' in lattice 'chain2'\"", 2),
+    ("function f arity 1 lattice chain2\n0 -> 0\n0 -> 1\n", "duplicate tuple (0)", 3),
+    ("", "missing function header", None),
+    ("# only a comment\n", "missing function header", None),
+    ("function f arity 1 lattice chain2\n" + ROWS, "missing 'end' directive", None),
+    ("function f arity 1 lattice chain2\n0 -> 0\nend\n", "missing tuple (1)", None),
+    ("\nfunction a->b arity 1 lattice chain2\n" + ROWS + "end\n",
+     "bad function name 'a->b': it must be nonempty, without whitespace, '->' or any of #", 2),
+])
+def test_function_file_errors_name_their_line(chain2, text, message, line):
+    with pytest.raises(ParseError) as caught:
+        parse_function(text, chain2)
+    assert (str(caught.value), caught.value.line) == (
+        message if line is None else f"line {line}: {message}", line)
+
+
 @pytest.mark.parametrize("name", ["", "a b", "x#y", "a->b", "tab\there", "#"])
 def test_function_names_that_do_not_read_back_are_refused(chain2, name):
     with pytest.raises(InvalidArgument):
         from_callable(chain2, 1, lambda xs: xs[0], name=name)
     with pytest.raises(InvalidArgument):
         projection(chain2, 1, 1).renamed(name)
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x#y", "a->b", "tab\there", "#", 5, None])
+def test_a_table_refuses_a_name_that_does_not_read_back(chain2, name):
+    with pytest.raises(InvalidArgument, match="bad function name"):
+        FnTable(chain2, 1, (0, 1), name=name)
 
 
 @pytest.mark.parametrize("name", ["iota[0,1,2;1]", "p1^2", "f(x)", "a-b", "g>"])

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 from dataclasses import fields
 
 import pytest
@@ -31,7 +32,7 @@ from latclone.errors import (
     NotAPartialOrder,
     ParseError,
 )
-from latclone.decompose import _operand_slots
+from latclone.decompose import _anchor_operand
 from latclone.functable import (_cells, _packer, _walk_memos, _walk_tables, from_callable, join_fn,
                                 meet_fn)
 from latclone.generators import parse_spec
@@ -252,6 +253,63 @@ def test_parse_errors_carry_line_numbers():
         parse_lattice("lattice x\nelements a b\ncover a z\nend\n")
 
 
+@pytest.mark.parametrize("text,error,message,line", [
+    ("lattice x\nelements a\nend\ncover a a\n", ParseError, "content after 'end'", 4),
+    ("lattice x\n# again\nlattice y\n", ParseError, "duplicate 'lattice' directive", 3),
+    ("lattice x y\n", ParseError, "'lattice' takes exactly one name", 1),
+    ("lattice\n", ParseError, "'lattice' takes exactly one name", 1),
+    ("elements a\nelements b\n", ParseError, "duplicate 'elements' directive", 2),
+    ("lattice x\nelements\n", ParseError, "'elements' needs at least one label", 2),
+    ("elements a b\ncover a\n", ParseError, "'cover' takes exactly two labels", 2),
+    ("elements a b\ncover a b c\n", ParseError, "'cover' takes exactly two labels", 2),
+    ("\n\ncovers a b\n", ParseError, "unknown directive 'covers'", 3),
+    ("elements a\nend\n", ParseError, "missing 'lattice' directive", None),
+    ("lattice x\nend\n", ParseError, "missing 'elements' directive", None),
+    ("lattice x\nelements a\n", ParseError, "missing 'end' directive", None),
+    ("lattice x\nelements a a\nend\n", ParseError, "element labels must be distinct", None),
+    ("lattice x\nelements a b\ncover a z\nend\n", ParseError,
+     "cover ('a', 'z') references unknown label", None),
+    ("lattice x\nelements a\ncover a a\nend\n", NotAPartialOrder, "self-cover on 'a'", None),
+    ("lattice x\nelements a b\ncover a b\ncover b a\nend\n", NotAPartialOrder,
+     "cover relation contains a cycle", None),
+    ("lattice x\nelements a b\nend\n", NotALattice, "join(a,b) undefined", None),
+    # two minimal elements under one top: their join exists, their meet not
+    ("lattice x\nelements a b t\ncover a t\ncover b t\nend\n", NotALattice,
+     "meet(a,b) undefined", None),
+])
+def test_lattice_file_errors_name_their_line(text, error, message, line):
+    with pytest.raises(error) as caught:
+        parse_lattice(text)
+    if error is ParseError:
+        assert caught.value.line == line
+        message = message if line is None else f"line {line}: {message}"
+    assert str(caught.value) == message
+
+
+def test_from_covers_puts_bottom_first_and_top_last():
+    # a family of subsets of a 4-set that holds the whole set and is closed
+    # under intersection is a lattice under inclusion; its labels come in a
+    # random order, and its covers, with implied and repeated pairs, too
+    rng = random.Random(2026)
+    for _ in range(300):
+        family = {15, *(rng.randrange(16) for _ in range(rng.randrange(1, 6)))}
+        while (closed := family | {a & b for a in family for b in family}) != family:
+            family = closed
+        labels = [f"s{a}" for a in family]
+        rng.shuffle(labels)
+        pairs = [(f"s{a}", f"s{b}") for a in family for b in family if a != b and a & b == a]
+        covers = [pair for pair in pairs if rng.random() < 0.3] + [
+            (f"s{a}", f"s{b}") for a in family for b in family
+            if a != b and a & b == a and not any(a != c != b and a & c == a and c & b == c
+                                                 for c in family)]
+        rng.shuffle(covers)
+        lat = from_covers(labels, covers)
+        m = lat.size
+        assert (lat.bottom, lat.top) == (0, m - 1)
+        assert lat.labels[0] == f"s{min(family)}" and lat.labels[-1] == "s15"
+        assert all(lat.leq_table[0][x] and lat.leq_table[x][m - 1] for x in range(m))
+
+
 def test_upper_covers(pentagon):
     a = pentagon.index("a")
     assert pentagon.upper_covers(pentagon.bottom) == (
@@ -293,12 +351,18 @@ def test_the_library_builders_keep_one_value_per_instance_and_key():
         lambda lat: meet_fn(lat),
         lambda lat: join_fn(lat),
         lambda lat: spec.table(lat),
-        lambda lat: _operand_slots(lat, 2, True),
     ):
         assert build(one) is build(one)
         assert build(two) is not build(one)
     assert meet_fn(one) is not join_fn(one)
-    assert _operand_slots(one, 2, True) is not _operand_slots(one, 2, False)
+    # anchor operands are hash-consed terms, so equal lattices build the one
+    # node; each instance keeps its own entry
+    operand = _anchor_operand(one, 2, 0, 0, True)
+    assert _anchor_operand(one, 2, 0, 0, True) is operand
+    assert _anchor_operand(two, 2, 0, 0, True) is operand
+    assert one._memo[_anchor_operand.__wrapped__] == {(2, 0, 0, True): operand}
+    assert two._memo[_anchor_operand.__wrapped__] == {(2, 0, 0, True): operand}
+    assert _anchor_operand(one, 2, 0, 0, True) is not _anchor_operand(one, 2, 0, 0, False)
     assert _cells(one, 2) is not _cells(one, 3)
 
 

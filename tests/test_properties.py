@@ -2,6 +2,7 @@
 term parser fails only with domain errors.  Derandomized, so a run is
 reproducible and its cost is fixed."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,10 @@ from latclone import (
     parse_lattice,
     parse_term,
     print_term,
+    projection,
 )
-from latclone.errors import InvalidArgument, InvalidSpec, LatcloneError
+from latclone.errors import InvalidArgument, InvalidSpec, LatcloneError, ParseError
+from latclone.functable import from_callable
 from latclone.lattice import LABEL_RESERVED, check_label
 from latclone.generators import (
     KINDS,
@@ -123,6 +126,36 @@ def test_function_files_parse_back(case):
     back = parse_function(format_function(f), f.lattice)
     assert (back.lattice, back.arity, back.values, back.name) == (
         f.lattice, f.arity, f.values, f.name)
+
+
+# Names from the characters the function-name rule treats specially, and
+# from any text.
+NAMES = st.text("fa1[;]^-># \t\n\x85", max_size=6) | st.text(max_size=4)
+
+
+@SETTINGS
+@given(NAMES)
+def test_tables_renames_and_function_files_share_one_name_rule(name):
+    lat = chain(2)
+    text = f"function {name} arity 1 lattice chain2\n0 -> 0\n1 -> 1\nend\n"
+    try:
+        f = FnTable(lat, 1, (0, 1), name=name)
+    except InvalidArgument:
+        with pytest.raises(InvalidArgument):
+            projection(lat, 1, 1).renamed(name)
+        with pytest.raises(InvalidArgument):
+            from_callable(lat, 1, lambda xs: xs[0], name=name)
+        try:
+            back = parse_function(text, lat)
+        except ParseError:
+            return
+        # whitespace around the name separates header fields: another name
+        assert back.name != name
+        return
+    assert format_function(f) == text
+    for g in (parse_function(text, lat), projection(lat, 1, 1).renamed(name),
+              from_callable(lat, 1, lambda xs: xs[0], name=name)):
+        assert (g.values, g.name) == ((0, 1), name)
 
 
 TOKENS = ["(", ")", " ", "\n", "meet", "join", "x1", "x2", "x0", "x9", "x", "x²",

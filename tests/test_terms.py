@@ -36,7 +36,7 @@ from latclone.errors import (
     TermSyntaxError,
 )
 from latclone.cli import load_lattice, main
-from latclone.decompose import _operand_slots
+from latclone.decompose import _anchor_operand
 from latclone.generators import iota_spec, parse_spec
 from latclone.functable import all_tuples, format_function
 from latclone.terms import (
@@ -203,7 +203,8 @@ def test_tabulation_memo_keeps_no_term_alive():
                       name="m2")
     gc.collect()
     before = set(_interned.values())
-    for f in enumerate_class(lat, 2, "idempotent")[::50]:
+    sample = enumerate_class(lat, 2, "idempotent")[::50]
+    for f in sample:
         for t in (decompose_id(f), decompose_id_reduced(f)):
             s = simplify(t, lat, 2)
             assert to_table(s, lat, 2).values == f.values
@@ -212,8 +213,8 @@ def test_tabulation_memo_keeps_no_term_alive():
     del t, s
     gc.collect()
     new = [t for t in _interned.values() if t not in before]
-    operands = [op for reduced in (False, True) for op in _operand_slots(lat, 2, reduced)
-                if op is not None]
+    operands = [_anchor_operand(lat, 2, k, v, reduced) for reduced in (False, True)
+                for f in sample for k, v in enumerate(f.values)]
     # the simplify memo keeps the simplified node of each otherwise live node,
     # and nothing more: no value keeps its own key or a dead node alive
     memo = _table_memo(lat, 2, "simplify")
@@ -435,6 +436,14 @@ def test_size_and_depth(chain3):
     assert depth(u) == 3
 
 
+def test_size_and_depth_walk_distinct_nodes():
+    # 40 rounds of t = meet(t, t): 41 distinct nodes, a tree of 2**41 - 1
+    t = Var(1)
+    for _ in range(40):
+        t = Meet(t, t)
+    assert (size(t), depth(t)) == (2**41 - 1, 41)
+
+
 def test_meet_of_join_of_left_nesting():
     t = meet_of([Var(1), Var(2), Var(3)])
     assert t == Meet(Meet(Var(1), Var(2)), Var(3))
@@ -449,6 +458,38 @@ def test_term_file_round_trip(chain3):
     text = format_term_file(t, 3, chain3.name)
     arity, lattice_name, back = parse_term_file(text)
     assert (arity, lattice_name, back) == (3, "chain3", t)
+
+
+@pytest.mark.parametrize("text,n,message,pos", [
+    ("(iota[0,1,2;1] x1 x2)", 2, "iota[0,1,2;1] takes 3 arguments, got 2", 1),
+    ("(meet x1 (mu[0] x1 x2))", 2, "mu[0] takes 1 arguments, got 2", 10),
+    ("(meet x1 x2 x1)", 2, "'meet' takes two operands", 1),
+    ("(join x1)", 2, "'join' takes two operands", 1),
+    ("(bogus[1] x1)", 1, "unknown generator kind 'bogus'", 1),
+    ("x3", 2, "variable x3 outside 1..2", 0),
+    ("(meet x1", 2, "expected ')', got end of input", 8),
+    (" )", 1, "unexpected ')'", 1),
+    ("x1 x2", 2, "trailing input after term", 3),
+])
+def test_term_syntax_errors_name_their_position(text, n, message, pos):
+    with pytest.raises(TermSyntaxError) as caught:
+        parse_term(text, n)
+    assert (str(caught.value), caught.value.pos) == (f"at position {pos}: {message}", pos)
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("\n  \n", "empty term file", None),
+    ("\nterm arity 2 lattice\nx1\n", "expected 'term arity <n> lattice <name>'", 2),
+    ("terms arity 2 lattice c\nx1\n", "expected 'term arity <n> lattice <name>'", 1),
+    ("term arity two lattice c\nx1\n", "bad arity 'two'", 1),
+    ("\n\nterm arity 0 lattice c\nx1\n", "arity must be >= 1, got 0", 3),
+    ("term arity -1 lattice c\nx1\n", "arity must be >= 1, got -1", 1),
+])
+def test_term_file_errors_name_their_line(text, message, line):
+    with pytest.raises(ParseError) as caught:
+        parse_term_file(text)
+    assert (str(caught.value), caught.value.line) == (
+        message if line is None else f"line {line}: {message}", line)
 
 
 def test_term_file_header_errors():
