@@ -23,7 +23,7 @@ from functools import partial, reduce
 from operator import add, and_, attrgetter, getitem, itemgetter, methodcaller, mul
 
 from .decompose import _anchor_operand
-from .errors import ArityMismatch, BudgetExceeded, InvalidArgument, LatticeMismatch
+from .errors import ArityMismatch, BudgetExceeded, InvalidArgument
 from .functable import (
     FnTable,
     PackedClass,
@@ -40,7 +40,7 @@ from .functable import (
     projection,
 )
 from .generators import make_chi, reduced_generator_set
-from .lattice import Lattice
+from .lattice import Lattice, per_lattice
 from .terms import _tabulate
 
 DEFAULT_CLOSURE_BUDGET = 10**6
@@ -238,9 +238,8 @@ def closure(
         raise ArityMismatch(f"arity must be >= 1, got {n}")
     if not base:
         raise InvalidArgument("closure needs at least one base function")
+    _check_same_lattice(*base)
     lat = base[0].lattice
-    if any(f.lattice != lat for f in base):
-        raise LatticeMismatch("base functions live on different lattices")
 
     start = time.monotonic()
     reached: list[FnTable] = [projection(lat, n, i) for i in range(1, n + 1)]
@@ -483,31 +482,60 @@ def _admissible_pairs(lat: Lattice, n: int) -> list[tuple[int, int]]:
             for v in range(lat.size) if leq[lo][v] and leq[v][hi]]
 
 
-def _anchor_tables(lat: Lattice, n: int, base, budget: int):
-    """(report, A, B): report certifies the admissible pairs' chis, and
-    A[k][v] and B[k][v] are the chi of (k, v) packed as down-set masks, or
-    0: in A when it is not certified, in B when the reduced anchor operand
-    of (k, v) does not tabulate to it, and in both for other pairs."""
-    points, pack, memo = all_tuples(lat.size, n), _packer(lat, "down").pack, {}
+@per_lattice
+def _anchor_tables(lat: Lattice, n: int, specs: tuple, budget: int):
+    """(report, A, B) for the base of meet, join and specs: report
+    certifies the admissible chis, and A[k][v] (B[k][v]) is 1 when the chi
+    of (k, v) is certified (its reduced anchor operand tabulates to it),
+    else 0; each row is a bytes.translate table.  A chi that does not take
+    v at its own cell k is not that of (k, v) and fails both parts."""
+    base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in specs)]
+    points, memo = all_tuples(lat.size, n), {}
     pairs = _admissible_pairs(lat, n)
     chis = [make_chi(lat, points[k], v) for k, v in pairs]
     report = certify(base, chis, budget)
     certified = {f.values for f in report.reached}
-    a, b = ([[0] * lat.size for _ in points] for _ in "ab")
+    a, b = ([bytearray(256) for _ in points] for _ in "ab")
     for (k, v), chi in zip(pairs, chis):
-        if chi.values in certified:
-            a[k][v] = pack(chi.values)
-        if _tabulate(_anchor_operand(lat, n, k, v, True), lat, points, memo) == chi.values:
-            b[k][v] = pack(chi.values)
-    return report, a, b
+        if chi.values[k] == v:
+            a[k][v] = chi.values in certified
+            b[k][v] = _tabulate(_anchor_operand(lat, n, k, v, True), lat, points, memo) \
+                == chi.values
+    return report, list(map(bytes, a)), list(map(bytes, b))
 
 
-def _unrecovered(tables, vectors, pack) -> set[int]:
-    """The indices of the value vectors f whose and over the cells k of
-    tables[k][f(k)] is not pack(f): as down(x meet y) = down(x) & down(y),
-    those that are not the meet of their tables when these are packed so."""
-    return {i for i, values in enumerate(vectors)
-            if reduce(and_, map(getitem, tables, values)) != pack(values)}
+def _member_pass(lat: Lattice, n: int, buffer, tables) -> list[list[int]]:
+    """For each table set T of _anchor_tables, the indices of the vectors f
+    in buffer (one byte per cell, vector after vector) with T[k][f(k)] = 0
+    at some cell k or f(q) not below f(k) at some cover step q -> k.  As
+    each f in Id^n is the meet of its chis chi_{k,f(k)} (the majorant
+    lemma) and a meet of chis lies in Id^n, these are the vectors that are
+    not the meet of chis of pairs that pass T.  Each test reads columns of
+    a block, block[k::cells], one byte per vector: a translate by T[k], or
+    the multiply-add col_q*m + col_k (no carry while m*m <= 256) and a
+    translate by the order table.  A step with join(q) <= meet(k) holds
+    for every vector that passes T, so it is skipped: at arity 1 every
+    step, and within the cell budget of 64 arity 2 and up has m <= 8."""
+    m, cells, rec, leq = lat.size, lat.size**n, _cells(lat, n), lat.leq_table
+    order = bytes(leq[x][y] for x in range(m) for y in range(m)).ljust(256, b"\0")
+    steps = [(q, k) for k, below in enumerate(rec.below) for q in below
+             if not leq[rec.highs[q]][rec.lows[k]]]
+    out, block = [[] for _ in tables], 1 << 15  # vectors per block
+    for start in range(0, len(buffer) // cells, block):
+        chunk = bytes(buffer[start * cells:(start + block) * cells])
+        size = len(chunk) // cells
+        cols = [chunk[k::cells] for k in range(cells)]
+        ints = [int.from_bytes(c, "little") for c in cols]
+        ones = int.from_bytes(b"\1" * size, "little")
+        monotone = reduce(and_, (int.from_bytes((ints[q] * m + ints[k]).to_bytes(
+            size, "little").translate(order), "little") for q, k in steps), ones)
+        for missed, rows in zip(out, tables):
+            ok = reduce(and_, (int.from_bytes(c.translate(r), "little")
+                               for c, r in zip(cols, rows)), monotone)
+            if ok != ones:  # the zero bytes of ok
+                marks = ok.to_bytes(size, "little").translate(b"\1".ljust(256, b"\0"))
+                missed += itertools.compress(itertools.count(start), marks)
+    return out
 
 
 def verify_generation(lat: Lattice, n: int,
@@ -517,23 +545,22 @@ def verify_generation(lat: Lattice, n: int,
     shows each admissible chi to lie in the clone of {meet, join} plus the
     reduced iotas (budget bounds its generator applications); (B) each
     admissible reduced anchor operand tabulates to its chi.  A and B are
-    separate conditions, but one shared pass over the class checks that
-    meet for every member, with the chis that fail a part set to 0; a
-    member that fails it is a counterexample (for A, one not shown to lie
-    in the clone).  When A passes, the report's reached is the class.
-    The class is counted before it is kept, so one past the count budget
-    raises BudgetExceeded without holding its blocks."""
+    separate conditions, and their tables are kept on the lattice, but
+    one pass over the class checks each member against both; a member
+    that fails it is a counterexample (for A, one not shown to lie in the
+    clone).  When A passes, the report's reached is the class; elapsed is
+    the time of this call.  The class is counted before it is kept, so
+    one past the count budget raises BudgetExceeded without holding it."""
+    start = time.monotonic()
     count_class(lat, n, "idempotent")
     ids = enumerate_class(lat, n, "idempotent")
-    base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in reduced_generator_set(lat))]
-    report, a, b = _anchor_tables(lat, n, base, budget)
-    pack = _packer(lat, "down").pack
-    missed = _unrecovered(a, ids.vectors(), pack)
-    wrong = missed if b == a else _unrecovered(b, ids.vectors(), pack)
+    report, a, b = _anchor_tables(lat, n, tuple(reduced_generator_set(lat)), budget)
+    marks = _member_pass(lat, n, ids._buffer, [a] if a == b else [a, b])
+    missed, wrong = set(marks[0]), set(marks[-1])
     reached = [f for i, f in enumerate(ids) if i not in missed] if missed else ids
     return VerificationReport(
         lat.name, n, len(ids), closure_pass=not missed, decomposition_pass=not wrong,
-        closure_report=replace(report, reached=reached),
+        closure_report=replace(report, reached=reached, elapsed=time.monotonic() - start),
         counterexamples=[ids[i] for i in sorted(missed | wrong)])
 
 

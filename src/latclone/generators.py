@@ -101,13 +101,16 @@ class GeneratorSpec:
             raise InvalidSpec(str(exc))
         return bound, target
 
+    def _arity_error(self, got: int) -> InvalidSpec:
+        return InvalidSpec(f"{self.format()} takes {self.arity} arguments, got {got}")
+
     def apply(self, lat: Lattice, args) -> int:
         """The generator's value at the element indices args, from its table."""
-        if len(args) != self.arity:
-            raise InvalidSpec(
-                f"{self.format()} takes {self.arity} arguments, got {len(args)}"
-            )
-        return self.table(lat)(args)
+        table = self.table(lat)
+        try:
+            return table(args)
+        except ArityMismatch:
+            raise self._arity_error(len(args)) from None
 
     def table(self, lat: Lattice) -> FnTable:
         """The generator's table on lat in closed form: a chi or iota cell

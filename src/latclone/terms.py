@@ -104,9 +104,7 @@ class Apply(Term):
     def __new__(cls, spec: GeneratorSpec, args):
         args = tuple(args)
         if len(args) != spec.arity:
-            raise InvalidSpec(
-                f"{spec.format()} takes {spec.arity} arguments, got {len(args)}"
-            )
+            raise spec._arity_error(len(args))
         return _intern(cls, (cls, spec, tuple(map(id, args))), spec=spec, args=args)
 
 

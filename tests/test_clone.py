@@ -1,6 +1,9 @@
 import gc
 import itertools
 import random
+import time
+from functools import reduce
+from operator import and_, getitem
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +41,15 @@ from latclone.errors import (
     NotIdempotent,
 )
 from latclone.decompose import _anchor_operand
-from latclone.functable import FnTable, PackedClass, _packer, compose_values, from_callable
+from latclone.functable import (
+    FnTable,
+    PackedClass,
+    _cells,
+    _packer,
+    all_tuples,
+    compose_values,
+    from_callable,
+)
 from latclone.terms import _children, _interned
 
 
@@ -176,9 +187,11 @@ def test_part_b_agrees_with_tabulating_each_members_term(lat, n):
 
 
 @pytest.mark.parametrize("v", [1, 2])
-def test_part_b_flags_exactly_the_members_of_a_wrong_operand(chain3, v, monkeypatch):
+def test_part_b_flags_exactly_the_members_of_a_wrong_operand(v, monkeypatch):
     # cell 2 is the tuple (0, 2): meet 0, join 2, so v = 1 and v = 2 are
-    # admissible; serve the operand of (2, 0) in place of that of (2, v)
+    # admissible; serve the operand of (2, 0) in place of that of (2, v).
+    # A lattice of its own: no anchor tables on it predate the patch
+    chain3 = chain(3)
     k, lo = 2, 0
     real = clone._anchor_operand
     monkeypatch.setattr(
@@ -305,6 +318,12 @@ def _fields(report):
 def _reduced_base(lat):
     base = [meet_fn(lat), join_fn(lat)]
     return base + [spec.table(lat) for spec in reduced_generator_set(lat)]
+
+
+def _tables(lat, n):
+    """The anchor tables of the reduced set, built or read from the lattice."""
+    return clone._anchor_tables(lat, n, tuple(reduced_generator_set(lat)),
+                                DEFAULT_CLOSURE_BUDGET)
 
 
 @pytest.mark.parametrize("budget", [1, 5, 50, 1000, 12345])
@@ -682,11 +701,11 @@ def test_part_b_on_two_byte_fields():
     a1, a2 = lat.index("a1"), lat.index("a2")
     members = [projection(lat, 2, 1), meet_fn(lat), join_fn(lat),
                make_chi(lat, (a1, a2), a1), make_chi(lat, (a2, lat.top), a2)]
-    _, _, tables = clone._anchor_tables(lat, 2, _reduced_base(lat), DEFAULT_CLOSURE_BUDGET)
-    pack = _packer(lat, "down").pack
+    _, _, tables = _tables(lat, 2)
 
     def unrecovered(fns):
-        return [fns[i] for i in sorted(clone._unrecovered(tables, [f.values for f in fns], pack))]
+        buffer = bytes(itertools.chain.from_iterable(f.values for f in fns))
+        return [fns[i] for i in clone._member_pass(lat, 2, buffer, [tables])[0]]
 
     assert unrecovered(members) == []
     # x1 with (a1, a2) moved from a1 to a2, inside [bottom, top]: (a1, bottom)
@@ -746,7 +765,7 @@ def test_certificate_argument_errors(chain2, chain3):
 )
 def test_part_a_certifies_every_chi_at_arity_3(lat, chis, attempts, insertions):
     # the classes are past the count budget; the chis alone are certified
-    report, a, b = clone._anchor_tables(lat, 3, _reduced_base(lat), DEFAULT_CLOSURE_BUDGET)
+    report, a, b = _tables(lat, 3)
     assert len(clone._admissible_pairs(lat, 3)) == len(report.reached) == chis
     assert (report.rounds, report.attempts, report.insertions) == (1, attempts, insertions)
     assert sum(map(bool, itertools.chain.from_iterable(a))) == chis and a == b
@@ -769,7 +788,8 @@ def test_part_a_fails_without_a_needed_iota(lat, n, drop, uncertified, chis, mon
     # part B still tabulates to its chi
     monkeypatch.setattr(clone, "reduced_generator_set", _without(drop))
     base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in clone.reduced_generator_set(lat))]
-    report, a, b = clone._anchor_tables(lat, n, base, DEFAULT_CLOSURE_BUDGET)
+    specs = tuple(clone.reduced_generator_set(lat))
+    report, a, b = clone._anchor_tables(lat, n, specs, DEFAULT_CLOSURE_BUDGET)
     assert len(base) == len(_reduced_base(lat)) - 1
     assert [sum(map(bool, itertools.chain.from_iterable(t))) for t in (a, b)] \
         == [chis - uncertified, chis]
@@ -797,7 +817,7 @@ def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):
     # only the join is the meet of its own chis among them; the other 63
     # members come back as counterexamples, while every operand is right
     monkeypatch.setattr(clone, "reduced_generator_set", lambda lat: [])
-    _, a, b = clone._anchor_tables(chain3, 2, _meet_join(chain3), DEFAULT_CLOSURE_BUDGET)
+    _, a, b = clone._anchor_tables(chain3, 2, (), DEFAULT_CLOSURE_BUDGET)
     assert [sum(1 for row in t for chi in row if chi) for t in (a, b)] == [9, 17]
     report = verify_generation(chain3, 2)
     assert not report.closure_pass and report.decomposition_pass
@@ -822,9 +842,11 @@ def test_anchor_route_reaches_what_the_member_certificate_certifies(lat, n):
 
 
 @pytest.mark.parametrize("v", [1, 2])
-def test_a_pair_taken_as_inadmissible_fails_both_parts(chain3, v, monkeypatch):
+def test_a_pair_taken_as_inadmissible_fails_both_parts(v, monkeypatch):
     # cell 2 is the tuple (0, 2), which admits v = 1 and v = 2: with the pair
-    # (2, v) missing, its chi is neither certified nor checked
+    # (2, v) missing, its chi is neither certified nor checked.  A lattice
+    # of its own: no anchor tables on it predate the patch
+    chain3 = chain(3)
     real = clone._admissible_pairs
     monkeypatch.setattr(clone, "_admissible_pairs",
                         lambda lat, n: [p for p in real(lat, n) if p != (2, v)])
@@ -836,10 +858,12 @@ def test_a_pair_taken_as_inadmissible_fails_both_parts(chain3, v, monkeypatch):
     assert report.closure_report.keys == {f.key() for f in ids} - {f.key() for f in flagged}
 
 
-def test_a_wrong_chi_fails_part_b(chain3, monkeypatch):
+def test_a_wrong_chi_fails_part_b(monkeypatch):
     # serve chi_{(0,2),0} for the pair of cell 2 and value 1: the operand of
     # (2, 1) no longer tabulates to it, and the members with f(0, 2) = 1 are
-    # not its meet with their other chis either
+    # not its meet with their other chis either.  A lattice of its own: no
+    # anchor tables on it predate the patch
+    chain3 = chain(3)
     real = clone.make_chi
     monkeypatch.setattr(clone, "make_chi",
                         lambda lat, a, b: real(lat, a, 0 if (a, b) == ((0, 2), 1) else b))
@@ -847,3 +871,131 @@ def test_a_wrong_chi_fails_part_b(chain3, monkeypatch):
     assert not report.decomposition_pass and not report.closure_pass
     ids = enumerate_class(chain3, 2, "idempotent")
     assert report.counterexamples == [f for f in ids if f.values[2] == 1]
+
+
+def test_closure_refuses_a_base_on_two_lattices(chain2, chain3):
+    with pytest.raises(LatticeMismatch, match="operands live on different lattices"):
+        closure([meet_fn(chain2), join_fn(chain3)], 2)
+
+
+def _reference_unrecovered(lat, n, rows, vectors):
+    """The member pass as a scalar fold, one vector at a time: the indices
+    of the vectors f whose meet over the cells k of the chi of (k, f(k)),
+    or of nothing where rows[k][f(k)] is 0, is not f.  The meets are
+    big-int ands of down-set masks, as down(x meet y) = down(x) & down(y)."""
+    pack, points = _packer(lat, "down").pack, all_tuples(lat.size, n)
+    chis = [[pack(make_chi(lat, points[k], v).values) if row[v] else 0
+             for v in range(lat.size)] for k, row in enumerate(rows)]
+    return [i for i, values in enumerate(vectors)
+            if reduce(and_, map(getitem, chis, values)) != pack(values)]
+
+
+def _failed(rows, k, v):
+    """rows with the pair (k, v) failed."""
+    return [row[:v] + b"\0" + row[v + 1:] if j == k else row for j, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize(
+    "lat,n",
+    [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4), (chain(4), 2), (chain(3), 3)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_member_pass_matches_the_scalar_fold(lat, n):
+    # chain3^3's 116 211 members take four blocks of the pass
+    ids = enumerate_class(lat, n, "idempotent")
+    _, a, b = _tables(lat, n)
+    pairs = clone._admissible_pairs(lat, n)
+    k, v = pairs[len(pairs) // 2]
+    failed = _failed(a, k, v)
+    got = clone._member_pass(lat, n, ids._buffer, [a, b, failed])
+    vectors = list(ids.vectors())
+    assert got == [[], [], _reference_unrecovered(lat, n, failed, vectors)]
+    assert got[2] == [i for i, f in enumerate(vectors) if f[k] == v] != []
+
+
+def _planted(lat, n, anywhere):
+    """Value vectors of lat at arity n: each cell's value anywhere in lat,
+    or only between the meet and the join of its tuple."""
+    cells = _cells(lat, n)
+    between = [[v for v in range(lat.size) if lat.leq(lo, v) and lat.leq(v, hi)]
+               for lo, hi in zip(cells.lows, cells.highs)]
+    return st.tuples(*(st.sampled_from(range(lat.size) if anywhere else vs) for vs in between))
+
+
+_MUTANT_CASES = [(chain(3), 2), (m_lattice(2), 2), (chain(4), 2), (chain(2), 3)]
+
+
+@pytest.mark.parametrize("anywhere", [False, True])
+@pytest.mark.parametrize("lat,n", _MUTANT_CASES, ids=lambda v: getattr(v, "name", v))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_member_pass_marks_a_planted_vector_outside_the_class(lat, n, anywhere, data):
+    # a vector planted among members is marked exactly when it is not in
+    # Id^n: in the cells' intervals, exactly when it is not monotone
+    ids = enumerate_class(lat, n, "idempotent")
+    _, a, _ = _tables(lat, n)
+    members = list(itertools.islice(ids.vectors(), 30))
+    planted = data.draw(_planted(lat, n, anywhere))
+    at = data.draw(st.integers(0, len(members)))
+    vectors = [*members[:at], planted, *members[at:]]
+    buffer = bytes(itertools.chain.from_iterable(vectors))
+    got = clone._member_pass(lat, n, buffer, [a])[0]
+    inside = is_monotone(FnTable(lat, n, planted)) and all(
+        lat.leq(lo, x) and lat.leq(x, hi)
+        for lo, hi, x in zip(_cells(lat, n).lows, _cells(lat, n).highs, planted))
+    assert got == ([] if inside else [at]) == _reference_unrecovered(lat, n, a, vectors)
+
+
+@pytest.mark.parametrize("lat,n", _MUTANT_CASES, ids=lambda v: getattr(v, "name", v))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_member_pass_marks_the_members_of_a_failed_pair(lat, n, data):
+    # one pair failed in A and another in B: each marks exactly the members
+    # that take its value at its cell
+    ids = enumerate_class(lat, n, "idempotent")
+    _, a, b = _tables(lat, n)
+    pairs = clone._admissible_pairs(lat, n)
+    (ka, va), (kb, vb) = data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2))
+    missed, wrong = clone._member_pass(lat, n, ids._buffer,
+                                       [_failed(a, ka, va), _failed(b, kb, vb)])
+    vectors = list(ids.vectors())
+    assert missed == [i for i, f in enumerate(vectors) if f[ka] == va] != []
+    assert wrong == [i for i, f in enumerate(vectors) if f[kb] == vb] != []
+
+
+def _report_fields(report):
+    r = report.closure_report
+    return (report.lattice_name, report.arity, report.id_count, report.closure_pass,
+            report.decomposition_pass, report.counterexamples, r.rounds, r.attempts,
+            r.insertions, r.budget_hit, list(r.reached.vectors()))
+
+
+@pytest.mark.parametrize("lat,n", [(m_lattice(2), 2), (chain(2), 4)],
+                         ids=lambda v: getattr(v, "name", v))
+def test_a_warm_verify_reports_what_the_cold_one_does(lat, n):
+    reports = []
+    for _ in range(2):
+        start = time.monotonic()
+        reports.append(verify_generation(lat, n))
+        # elapsed is the time of this call, not that of the call that built the tables
+        assert 0 < reports[-1].closure_report.elapsed <= time.monotonic() - start
+    cold, warm = reports
+    assert _report_fields(cold) == _report_fields(warm)
+    assert _tables(lat, n) is _tables(lat, n)
+
+
+def test_a_generator_set_patched_after_a_passing_run_still_fails_part_a(chain3, monkeypatch):
+    assert verify_generation(chain3, 2).ok
+    monkeypatch.setattr(clone, "reduced_generator_set", _without("iota[0,1,2;0]"))
+    report = verify_generation(chain3, 2)
+    assert not report.closure_pass and len(report.counterexamples) == 55
+    monkeypatch.undo()
+    assert verify_generation(chain3, 2).ok
+
+
+def test_verify_past_the_generator_budget_keeps_no_tables():
+    lat = chain(3)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            verify_generation(lat, 2, budget=895)
+    assert verify_generation(lat, 2, budget=896).ok
