@@ -18,7 +18,7 @@ import itertools
 import sys
 import time
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from operator import add, and_, attrgetter, getitem, itemgetter, methodcaller, mul
 
@@ -50,7 +50,7 @@ DEFAULT_CLOSURE_BUDGET = 10**6
 class ClosureReport:
     """What closure reached, or which members certify showed to lie in the
     clone; certify's fields are described there.  verify_generation's
-    reached may be the enumerated PackedClass, which compares by identity.
+    reached is a PackedClass selection, which compares by identity.
     keys are built on each read, from the value vectors alone."""
 
     reached: list[FnTable] | PackedClass
@@ -78,15 +78,6 @@ def _tuples_with_max(d: int, k: int):
         itertools.product(*[(d,) if mask >> i & 1 else range(d) for i in range(k)])
         for mask in range(1, 1 << k)
     )
-
-
-def _field_format(m: int, k: int) -> str:
-    """The array typecode of the narrowest unsigned field that holds every
-    index into a k-ary table on m elements."""
-    for code in "BHI":
-        if m**k <= 1 << 8 * array(code).itemsize:
-            return code
-    return "Q"
 
 
 def _gather_kernel(m: int, cells: int, k: int, packed: list):
@@ -128,7 +119,7 @@ def _gather_kernel(m: int, cells: int, k: int, packed: list):
 
         return partial(int.from_bytes, byteorder=order), bytes, _padded, compose
 
-    fmt = _field_format(m, k)
+    fmt = "H" if m**k <= 1 << 16 else "I"  # no table of over 2**32 entries is built
     nbytes = cells * array(fmt).itemsize
 
     def pack(values) -> int:
@@ -468,7 +459,7 @@ class VerificationReport:
     closure_pass: bool
     decomposition_pass: bool
     closure_report: ClosureReport
-    counterexamples: list[FnTable] = field(default_factory=list)
+    counterexamples: PackedClass
 
     @property
     def ok(self) -> bool:
@@ -484,58 +475,55 @@ def _admissible_pairs(lat: Lattice, n: int) -> list[tuple[int, int]]:
 
 @per_lattice
 def _anchor_tables(lat: Lattice, n: int, specs: tuple, budget: int):
-    """(report, A, B) for the base of meet, join and specs: report
-    certifies the admissible chis, and A[k][v] (B[k][v]) is 1 when the chi
-    of (k, v) is certified (its reduced anchor operand tabulates to it),
-    else 0; each row is a bytes.translate table.  A chi that does not take
-    v at its own cell k is not that of (k, v) and fails both parts."""
+    """(report, T) for the base of meet, join and specs: report certifies
+    the admissible chis, and the bytes.translate row T[k] has bit 0 of
+    entry v set when the chi of (k, v) is certified (part A) and bit 1 when
+    its reduced anchor operand tabulates to it (B).  An inadmissible pair
+    gets 0, as does a chi that does not take v at its own cell k."""
     base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in specs)]
     points, memo = all_tuples(lat.size, n), {}
     pairs = _admissible_pairs(lat, n)
     chis = [make_chi(lat, points[k], v) for k, v in pairs]
     report = certify(base, chis, budget)
     certified = {f.values for f in report.reached}
-    a, b = ([bytearray(256) for _ in points] for _ in "ab")
+    table = [bytearray(256) for _ in points]
     for (k, v), chi in zip(pairs, chis):
         if chi.values[k] == v:
-            a[k][v] = chi.values in certified
-            b[k][v] = _tabulate(_anchor_operand(lat, n, k, v, True), lat, points, memo) \
-                == chi.values
-    return report, list(map(bytes, a)), list(map(bytes, b))
+            table[k][v] = (chi.values in certified) | 2 * (_tabulate(
+                _anchor_operand(lat, n, k, v, True), lat, points, memo) == chi.values)
+    return report, list(map(bytes, table))
 
 
-def _member_pass(lat: Lattice, n: int, buffer, tables) -> list[list[int]]:
-    """For each table set T of _anchor_tables, the indices of the vectors f
-    in buffer (one byte per cell, vector after vector) with T[k][f(k)] = 0
-    at some cell k or f(q) not below f(k) at some cover step q -> k.  As
-    each f in Id^n is the meet of its chis chi_{k,f(k)} (the majorant
-    lemma) and a meet of chis lies in Id^n, these are the vectors that are
-    not the meet of chis of pairs that pass T.  Each test reads columns of
-    a block, block[k::cells], one byte per vector: a translate by T[k], or
-    the multiply-add col_q*m + col_k (no carry while m*m <= 256) and a
-    translate by the order table.  A step with join(q) <= meet(k) holds
-    for every vector that passes T, so it is skipped: at arity 1 every
-    step, and within the cell budget of 64 arity 2 and up has m <= 8."""
+def _member_pass(lat: Lattice, n: int, buffer, table) -> bytes:
+    """The verdict byte of each vector f in buffer (one byte per cell,
+    vector after vector): the and over the cells k of T[k][f(k)], or 0 if
+    f(q) is not below f(k) at a cover step q -> k.  As each f in Id^n is
+    the meet of its chis chi_{k,f(k)} (the majorant lemma), and a meet of
+    chis lies in Id^n, a bit is clear just when f is not a meet of chis
+    that pass that part.  Each test translates a block's column
+    block[k::cells] by T[k], or col_q*m + col_k (no carry while m*m <= 256)
+    by the order table.  A step with join(q) <= meet(k) holds for any f
+    with a bit left, inside the cells' intervals, so it is skipped: at
+    arity 1 every step; above it, the cell budget of 64 keeps m <= 8."""
     m, cells, rec, leq = lat.size, lat.size**n, _cells(lat, n), lat.leq_table
-    order = bytes(leq[x][y] for x in range(m) for y in range(m)).ljust(256, b"\0")
+    order = bytes(255 * leq[x][y] for x in range(m) for y in range(m)).ljust(256, b"\0")
     steps = [(q, k) for k, below in enumerate(rec.below) for q in below
              if not leq[rec.highs[q]][rec.lows[k]]]
-    out, block = [[] for _ in tables], 1 << 15  # vectors per block
+    out, block = bytearray(), 1 << 15  # vectors per block
     for start in range(0, len(buffer) // cells, block):
         chunk = bytes(buffer[start * cells:(start + block) * cells])
         size = len(chunk) // cells
         cols = [chunk[k::cells] for k in range(cells)]
         ints = [int.from_bytes(c, "little") for c in cols]
-        ones = int.from_bytes(b"\1" * size, "little")
-        monotone = reduce(and_, (int.from_bytes((ints[q] * m + ints[k]).to_bytes(
-            size, "little").translate(order), "little") for q, k in steps), ones)
-        for missed, rows in zip(out, tables):
-            ok = reduce(and_, (int.from_bytes(c.translate(r), "little")
-                               for c, r in zip(cols, rows)), monotone)
-            if ok != ones:  # the zero bytes of ok
-                marks = ok.to_bytes(size, "little").translate(b"\1".ljust(256, b"\0"))
-                missed += itertools.compress(itertools.count(start), marks)
-    return out
+        tests = itertools.chain((c.translate(r) for c, r in zip(cols, table)), (
+            (ints[q] * m + ints[k]).to_bytes(size, "little").translate(order) for q, k in steps))
+        out += reduce(and_, map(int.from_bytes, tests, itertools.repeat("little"))).to_bytes(
+            size, "little")
+    return bytes(out)
+
+
+# verdict byte -> flag byte for _select: part A passed; either part failed
+_PART_A, _FAILED = bytes(v & 1 for v in range(256)), bytes(v != 3 for v in range(256))
 
 
 def verify_generation(lat: Lattice, n: int,
@@ -545,23 +533,24 @@ def verify_generation(lat: Lattice, n: int,
     shows each admissible chi to lie in the clone of {meet, join} plus the
     reduced iotas (budget bounds its generator applications); (B) each
     admissible reduced anchor operand tabulates to its chi.  A and B are
-    separate conditions, and their tables are kept on the lattice, but
-    one pass over the class checks each member against both; a member
-    that fails it is a counterexample (for A, one not shown to lie in the
-    clone).  When A passes, the report's reached is the class; elapsed is
-    the time of this call.  The class is counted before it is kept, so
-    one past the count budget raises BudgetExceeded without holding it."""
+    two bits of one table kept on the lattice, and one pass gives each
+    member a verdict on both; a member that fails either is a
+    counterexample (for A, one not shown to lie in the clone).  reached
+    and the counterexamples select from the class, and reached is the
+    class when A passes; elapsed is the time of this call.  The class is
+    counted before it is kept, so one past the count budget raises
+    BudgetExceeded without holding it."""
     start = time.monotonic()
     count_class(lat, n, "idempotent")
     ids = enumerate_class(lat, n, "idempotent")
-    report, a, b = _anchor_tables(lat, n, tuple(reduced_generator_set(lat)), budget)
-    marks = _member_pass(lat, n, ids._buffer, [a] if a == b else [a, b])
-    missed, wrong = set(marks[0]), set(marks[-1])
-    reached = [f for i, f in enumerate(ids) if i not in missed] if missed else ids
+    report, table = _anchor_tables(lat, n, tuple(reduced_generator_set(lat)), budget)
+    verdicts = _member_pass(lat, n, ids._buffer, table)
+    reached = ids._select(verdicts.translate(_PART_A))
     return VerificationReport(
-        lat.name, n, len(ids), closure_pass=not missed, decomposition_pass=not wrong,
+        lat.name, n, len(ids), closure_pass=len(reached) == len(ids),
+        decomposition_pass=not verdicts.translate(None, b"\2\3"),  # no verdict without bit 1
         closure_report=replace(report, reached=reached, elapsed=time.monotonic() - start),
-        counterexamples=[ids[i] for i in sorted(missed | wrong)])
+        counterexamples=ids._select(verdicts.translate(_FAILED)))
 
 
 def format_closure_report(report: ClosureReport) -> str:
@@ -572,13 +561,11 @@ def format_closure_report(report: ClosureReport) -> str:
 
 
 def format_verification_report(report: VerificationReport) -> str:
-    a = "pass" if report.closure_pass else "fail"
-    b = "pass" if report.decomposition_pass else "fail"
+    a, b = ("pass" if ok else "fail" for ok in (report.closure_pass, report.decomposition_pass))
     lines = [
         f"lattice={report.lattice_name} arity={report.arity} "
         f"id_count={report.id_count} A={a} B={b}",
         format_closure_report(report.closure_report).rstrip("\n"),
+        *(format_function(f).rstrip("\n") for f in report.counterexamples),
     ]
-    for f in report.counterexamples:
-        lines.append(format_function(f).rstrip("\n"))
     return "\n".join(lines) + "\n"

@@ -608,10 +608,11 @@ class PackedClass(Sequence):
     """A read-only sequence of n-ary functions on a lattice, kept as one
     buffer, a read-only memoryview of the bytearray the walk filled, that
     holds each member's value vector as m**n fixed-width fields, one byte
-    per field when m <= 256.  A member becomes an FnTable
-    only when it is read.  Slices, of any step, share the buffer; adding
-    another sequence gives a list.  Only enumerate_class builds one, since
-    members skip the FnTable checks that its walk has made."""
+    per field when m <= 256.  offsets holds each member's byte offset: a
+    range for a whole class.  A member becomes an FnTable only when read.
+    Slices, of any step, and selections share the buffer; adding another
+    sequence gives a list.  Only enumerate_class builds one, since members
+    skip the FnTable checks that its walk has made."""
 
     __slots__ = ("_lattice", "_arity", "_buffer", "_vector", "_offsets")
 
@@ -620,7 +621,7 @@ class PackedClass(Sequence):
 
     @classmethod
     def _trusted(cls, lat: Lattice, n: int, buffer: memoryview, vector: struct.Struct,
-                 offsets: range) -> PackedClass:
+                 offsets: Sequence[int]) -> PackedClass:
         packed = object.__new__(cls)
         packed._lattice, packed._arity = lat, n
         packed._buffer, packed._vector, packed._offsets = buffer, vector, offsets
@@ -654,6 +655,20 @@ class PackedClass(Sequence):
 
     def __add__(self, other) -> list:
         return [*self, *other]
+
+    def _select(self, flags) -> PackedClass:
+        """The members whose flag byte is not 0, on one buffer; self if none is 0."""
+        return self if 0 not in flags else PackedClass._trusted(
+            self._lattice, self._arity, self._buffer, self._vector,
+            array("q", itertools.compress(self._offsets, flags) if flags.strip(b"\0") else ()))
+
+    def _where(self, k: int, value: int) -> PackedClass:
+        """The members whose field k holds value, read off the buffer."""
+        fields, at = self._buffer.cast(self._vector.format[-1]), self._offsets
+        w = fields.itemsize
+        column = fields[at.start // w + k::at.step // w][:len(at)] if isinstance(at, range) \
+            else (fields[o // w + k] for o in at)
+        return self._select(bytes(map(value.__eq__, column)))
 
 
 def _class_blocks(lat: Lattice, n: int, cls: str, cell_budget: int, count_budget: int):
@@ -767,9 +782,8 @@ def parse_function(text: str, lat: Lattice) -> FnTable:
 
 
 def format_function(f: FnTable) -> str:
-    lat = f.lattice
-    lines = [f"function {f.name} arity {f.arity} lattice {lat.name}"]
-    for xs, v in zip(f.tuples(), f.values):
-        lines.append(" ".join(lat.labels[x] for x in xs) + " -> " + lat.labels[v])
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    labels = f.lattice.labels
+    rows = (" ".join(map(labels.__getitem__, xs)) + " -> " + labels[v]
+            for xs, v in zip(f.tuples(), f.values))
+    return "\n".join([f"function {f.name} arity {f.arity} lattice {f.lattice.name}", *rows,
+                      "end"]) + "\n"

@@ -226,16 +226,14 @@ def h_majorant(pool, f: FnTable, a) -> FnTable:
     With pool a composition-closed class containing f, this is the largest
     class member taking the value f(a) at a.
     """
-    if isinstance(pool, PackedClass):  # one lattice and arity for every member
-        members, vectors = pool[:1], pool.vectors()
-    else:
-        members = list(pool)
-        vectors = [g.values for g in members]
+    packed = isinstance(pool, PackedClass)  # one lattice and arity for every member
+    members = pool[:1] if packed else list(pool)
     _check_same_lattice(f, *members)
     if any(g.arity != f.arity for g in members):
         raise ArityMismatch(f"pool members must have the arity {f.arity} of f")
     fa, k, up = f(a), tuple_index(f.lattice.size, a), _packer(f.lattice, "up")
-    agreeing = [values for values in vectors if values[k] == fa]
+    agreeing = list(pool._where(k, fa).vectors()) if packed else \
+        [g.values for g in members if g.values[k] == fa]
     if not agreeing:
         raise EmptyAgreementSet(f"no pool member takes value {fa} at {a}")
     # up(x join y) = up(x) & up(y): the join is the and of the up-set masks

@@ -31,7 +31,7 @@ from latclone import (
     to_table,
     verify_generation,
 )
-from latclone import clone
+from latclone import clone, functable
 from latclone.clone import DEFAULT_CLOSURE_BUDGET
 from latclone.errors import (
     ArityMismatch,
@@ -183,7 +183,7 @@ def test_part_b_agrees_with_tabulating_each_members_term(lat, n):
     report = verify_generation(lat, n)
     assert report.closure_pass
     assert report.decomposition_pass == (not slow)
-    assert report.counterexamples == slow
+    assert list(report.counterexamples) == slow
 
 
 @pytest.mark.parametrize("v", [1, 2])
@@ -192,16 +192,12 @@ def test_part_b_flags_exactly_the_members_of_a_wrong_operand(v, monkeypatch):
     # admissible; serve the operand of (2, 0) in place of that of (2, v).
     # A lattice of its own: no anchor tables on it predate the patch
     chain3 = chain(3)
-    k, lo = 2, 0
-    real = clone._anchor_operand
-    monkeypatch.setattr(
-        clone, "_anchor_operand",
-        lambda lat, n, j, w, reduced: real(lat, n, j, lo if (j, w) == (k, v) else w, reduced),
-    )
+    k = 2
+    _patch_operand(monkeypatch, k, v)
     report = verify_generation(chain3, 2)
     assert report.closure_pass and not report.decomposition_pass
     ids = enumerate_class(chain3, 2, "idempotent")
-    assert report.counterexamples == [f for f in ids if f.values[k] == v]
+    assert list(report.counterexamples) == [f for f in ids if f.values[k] == v]
     assert report.counterexamples
 
 
@@ -321,9 +317,27 @@ def _reduced_base(lat):
 
 
 def _tables(lat, n):
-    """The anchor tables of the reduced set, built or read from the lattice."""
+    """The anchor table of the reduced set, built or read from the lattice."""
     return clone._anchor_tables(lat, n, tuple(reduced_generator_set(lat)),
                                 DEFAULT_CLOSURE_BUDGET)
+
+
+def _parts(table):
+    """Parts A and B of an anchor table: its rows with the entries' bit 0,
+    then bit 1."""
+    return [[bytes(x >> bit & 1 for x in row) for row in table] for bit in (0, 1)]
+
+
+def _joined(a, b):
+    """The anchor table whose parts are a and b."""
+    return [bytes(x | 2 * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+
+
+def _marks(lat, n, buffer, table):
+    """The indices of the vectors in buffer whose verdict clears bit 0,
+    then of those that clear bit 1."""
+    verdicts = clone._member_pass(lat, n, buffer, table)
+    return [[i for i, v in enumerate(verdicts) if not v >> bit & 1] for bit in (0, 1)]
 
 
 @pytest.mark.parametrize("budget", [1, 5, 50, 1000, 12345])
@@ -391,6 +405,19 @@ def _six_ary_and_meet(lat):
 def test_closure_matches_reference(make, n, budget):
     base = make()
     assert _fields(closure(base, n, budget)) == _reference_closure(base, n, budget)
+
+
+def test_closure_matches_reference_on_four_byte_index_fields():
+    # 41**3 = 68 921 entries, past 2**16: the kernel reads four-byte index
+    # fields.  The ternary base is not idempotent, so the unary functions it
+    # reaches are more than the identity
+    lat = chain(41)
+    base = [from_callable(lat, 3, lambda xs: (xs[0] + xs[1] + 2 * xs[2] + 1) % 41, name="t")]
+    assert lat.size**3 > 1 << 16 and not is_idempotent(base[0])
+    for budget in (1, 700, 3000):
+        got = closure(base, 1, budget)
+        assert _fields(got) == _reference_closure(base, 1, budget)
+        assert len(got.reached) > 1
 
 
 @st.composite
@@ -701,11 +728,11 @@ def test_part_b_on_two_byte_fields():
     a1, a2 = lat.index("a1"), lat.index("a2")
     members = [projection(lat, 2, 1), meet_fn(lat), join_fn(lat),
                make_chi(lat, (a1, a2), a1), make_chi(lat, (a2, lat.top), a2)]
-    _, _, tables = _tables(lat, 2)
+    _, table = _tables(lat, 2)
 
     def unrecovered(fns):
         buffer = bytes(itertools.chain.from_iterable(f.values for f in fns))
-        return [fns[i] for i in clone._member_pass(lat, 2, buffer, [tables])[0]]
+        return [fns[i] for i in _marks(lat, 2, buffer, table)[1]]
 
     assert unrecovered(members) == []
     # x1 with (a1, a2) moved from a1 to a2, inside [bottom, top]: (a1, bottom)
@@ -765,7 +792,8 @@ def test_certificate_argument_errors(chain2, chain3):
 )
 def test_part_a_certifies_every_chi_at_arity_3(lat, chis, attempts, insertions):
     # the classes are past the count budget; the chis alone are certified
-    report, a, b = _tables(lat, 3)
+    report, table = _tables(lat, 3)
+    a, b = _parts(table)
     assert len(clone._admissible_pairs(lat, 3)) == len(report.reached) == chis
     assert (report.rounds, report.attempts, report.insertions) == (1, attempts, insertions)
     assert sum(map(bool, itertools.chain.from_iterable(a))) == chis and a == b
@@ -789,7 +817,8 @@ def test_part_a_fails_without_a_needed_iota(lat, n, drop, uncertified, chis, mon
     monkeypatch.setattr(clone, "reduced_generator_set", _without(drop))
     base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in clone.reduced_generator_set(lat))]
     specs = tuple(clone.reduced_generator_set(lat))
-    report, a, b = clone._anchor_tables(lat, n, specs, DEFAULT_CLOSURE_BUDGET)
+    report, table = clone._anchor_tables(lat, n, specs, DEFAULT_CLOSURE_BUDGET)
+    a, b = _parts(table)
     assert len(base) == len(_reduced_base(lat)) - 1
     assert [sum(map(bool, itertools.chain.from_iterable(t))) for t in (a, b)] \
         == [chis - uncertified, chis]
@@ -817,11 +846,11 @@ def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):
     # only the join is the meet of its own chis among them; the other 63
     # members come back as counterexamples, while every operand is right
     monkeypatch.setattr(clone, "reduced_generator_set", lambda lat: [])
-    _, a, b = clone._anchor_tables(chain3, 2, (), DEFAULT_CLOSURE_BUDGET)
+    a, b = _parts(clone._anchor_tables(chain3, 2, (), DEFAULT_CLOSURE_BUDGET)[1])
     assert [sum(1 for row in t for chi in row if chi) for t in (a, b)] == [9, 17]
     report = verify_generation(chain3, 2)
     assert not report.closure_pass and report.decomposition_pass
-    assert report.closure_report.reached == [join_fn(chain3)]
+    assert list(report.closure_report.reached) == [join_fn(chain3)]
     assert len(report.counterexamples) == 63
     assert not {f.key() for f in report.counterexamples} & report.closure_report.keys
 
@@ -854,7 +883,7 @@ def test_a_pair_taken_as_inadmissible_fails_both_parts(v, monkeypatch):
     assert not report.closure_pass and not report.decomposition_pass
     ids = enumerate_class(chain3, 2, "idempotent")
     flagged = [f for f in ids if f.values[2] == v]
-    assert flagged and report.counterexamples == flagged
+    assert flagged and list(report.counterexamples) == flagged
     assert report.closure_report.keys == {f.key() for f in ids} - {f.key() for f in flagged}
 
 
@@ -870,7 +899,7 @@ def test_a_wrong_chi_fails_part_b(monkeypatch):
     report = verify_generation(chain3, 2)
     assert not report.decomposition_pass and not report.closure_pass
     ids = enumerate_class(chain3, 2, "idempotent")
-    assert report.counterexamples == [f for f in ids if f.values[2] == 1]
+    assert list(report.counterexamples) == [f for f in ids if f.values[2] == 1]
 
 
 def test_closure_refuses_a_base_on_two_lattices(chain2, chain3):
@@ -903,14 +932,77 @@ def _failed(rows, k, v):
 def test_member_pass_matches_the_scalar_fold(lat, n):
     # chain3^3's 116 211 members take four blocks of the pass
     ids = enumerate_class(lat, n, "idempotent")
-    _, a, b = _tables(lat, n)
+    a, b = _parts(_tables(lat, n)[1])
     pairs = clone._admissible_pairs(lat, n)
     k, v = pairs[len(pairs) // 2]
     failed = _failed(a, k, v)
-    got = clone._member_pass(lat, n, ids._buffer, [a, b, failed])
+    got = _marks(lat, n, ids._buffer, _joined(a, b)) + \
+        _marks(lat, n, ids._buffer, _joined(failed, b))[:1]
     vectors = list(ids.vectors())
     assert got == [[], [], _reference_unrecovered(lat, n, failed, vectors)]
     assert got[2] == [i for i, f in enumerate(vectors) if f[k] == v] != []
+
+
+@pytest.mark.parametrize(
+    "lat,n",
+    [(chain(3), 2), (m_lattice(2), 2), (chain(2), 4), (chain(4), 2), (chain(3), 3)],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_verdict_bytes_match_the_scalar_fold_bit_by_bit(lat, n):
+    # one pair failed in part A and another in part B: bit 0 of each verdict
+    # is the fold over A's rows, bit 1 the fold over B's
+    ids = enumerate_class(lat, n, "idempotent")
+    a, b = _parts(_tables(lat, n)[1])
+    pairs = clone._admissible_pairs(lat, n)
+    (ka, va), (kb, vb) = pairs[len(pairs) // 3], pairs[2 * len(pairs) // 3]
+    a, b = _failed(a, ka, va), _failed(b, kb, vb)
+    verdicts = clone._member_pass(lat, n, ids._buffer, _joined(a, b))
+    vectors = list(ids.vectors())
+    assert type(verdicts) is bytes and len(verdicts) == len(vectors)
+    assert set(verdicts) <= {0, 1, 2, 3}
+    for bit, rows in enumerate((a, b)):
+        missed = set(_reference_unrecovered(lat, n, rows, vectors))
+        assert missed
+        assert bytes(v >> bit & 1 for v in verdicts) == bytes(
+            i not in missed for i in range(len(vectors)))
+
+
+def _patch_operand(monkeypatch, k, v):
+    """Serve the reduced anchor operand of (k, 0) in place of that of (k, v)."""
+    real = clone._anchor_operand
+    monkeypatch.setattr(clone, "_anchor_operand", lambda lat, n, j, w, reduced: real(
+        lat, n, j, 0 if (j, w) == (k, v) else w, reduced))
+
+
+@pytest.mark.parametrize("broken", ["part A", "part B"])
+def test_a_failing_verify_on_warm_tables_builds_no_table(broken, monkeypatch):
+    # a lattice of its own: its tables are built under the patch
+    lat = chain(3)
+    if broken == "part A":
+        monkeypatch.setattr(clone, "reduced_generator_set", _without("iota[0,1,2;0]"))
+    else:
+        _patch_operand(monkeypatch, 2, 1)
+    verify_generation(lat, 2)  # builds the anchor tables
+    built = []
+    post_init = FnTable.__post_init__
+    with pytest.MonkeyPatch.context() as counting:
+        counting.setattr(functable, "_member", lambda *args: built.append(args))
+        counting.setattr(FnTable, "__post_init__", lambda f: built.append(post_init(f)))
+        report = verify_generation(lat, 2)
+    assert built == [] and not report.ok
+    # the lists today's rule gives: reached drops the members part A fails,
+    # and a member that fails either part is a counterexample
+    ids = enumerate_class(lat, 2, "idempotent")
+    vectors = list(ids.vectors())
+    table = clone._anchor_tables(lat, 2, tuple(clone.reduced_generator_set(lat)),
+                                 DEFAULT_CLOSURE_BUDGET)[1]
+    missed, wrong = (set(_reference_unrecovered(lat, 2, rows, vectors)) for rows in _parts(table))
+    reached, bad = report.closure_report.reached, report.counterexamples
+    assert isinstance(reached, PackedClass) and isinstance(bad, PackedClass)
+    assert reached._buffer is bad._buffer and bytes(bad._buffer) == bytes(ids._buffer)
+    assert list(reached) == [f for i, f in enumerate(ids) if i not in missed]
+    assert list(bad) == [f for i, f in enumerate(ids) if i in missed | wrong] != []
+    assert (report.closure_pass, report.decomposition_pass) == (not missed, not wrong)
 
 
 def _planted(lat, n, anywhere):
@@ -933,13 +1025,14 @@ def test_member_pass_marks_a_planted_vector_outside_the_class(lat, n, anywhere, 
     # a vector planted among members is marked exactly when it is not in
     # Id^n: in the cells' intervals, exactly when it is not monotone
     ids = enumerate_class(lat, n, "idempotent")
-    _, a, _ = _tables(lat, n)
+    _, table = _tables(lat, n)
+    a, _ = _parts(table)
     members = list(itertools.islice(ids.vectors(), 30))
     planted = data.draw(_planted(lat, n, anywhere))
     at = data.draw(st.integers(0, len(members)))
     vectors = [*members[:at], planted, *members[at:]]
     buffer = bytes(itertools.chain.from_iterable(vectors))
-    got = clone._member_pass(lat, n, buffer, [a])[0]
+    got = _marks(lat, n, buffer, table)[0]
     inside = is_monotone(FnTable(lat, n, planted)) and all(
         lat.leq(lo, x) and lat.leq(x, hi)
         for lo, hi, x in zip(_cells(lat, n).lows, _cells(lat, n).highs, planted))
@@ -953,11 +1046,10 @@ def test_member_pass_marks_the_members_of_a_failed_pair(lat, n, data):
     # one pair failed in A and another in B: each marks exactly the members
     # that take its value at its cell
     ids = enumerate_class(lat, n, "idempotent")
-    _, a, b = _tables(lat, n)
+    a, b = _parts(_tables(lat, n)[1])
     pairs = clone._admissible_pairs(lat, n)
     (ka, va), (kb, vb) = data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2))
-    missed, wrong = clone._member_pass(lat, n, ids._buffer,
-                                       [_failed(a, ka, va), _failed(b, kb, vb)])
+    missed, wrong = _marks(lat, n, ids._buffer, _joined(_failed(a, ka, va), _failed(b, kb, vb)))
     vectors = list(ids.vectors())
     assert missed == [i for i, f in enumerate(vectors) if f[ka] == va] != []
     assert wrong == [i for i, f in enumerate(vectors) if f[kb] == vb] != []
@@ -966,7 +1058,7 @@ def test_member_pass_marks_the_members_of_a_failed_pair(lat, n, data):
 def _report_fields(report):
     r = report.closure_report
     return (report.lattice_name, report.arity, report.id_count, report.closure_pass,
-            report.decomposition_pass, report.counterexamples, r.rounds, r.attempts,
+            report.decomposition_pass, list(report.counterexamples), r.rounds, r.attempts,
             r.insertions, r.budget_hit, list(r.reached.vectors()))
 
 

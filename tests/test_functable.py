@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import re
+import struct
 import time
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -845,6 +846,40 @@ def test_packed_class_takes_wider_fields_beyond_256_elements():
     # lattice's tables are too large to build, so a stand-in gives its size
     with pytest.raises(InvalidSize, match="65536"):
         enumerate_class(SimpleNamespace(size=65537), 1, "idempotent")
+
+
+def _hand_packed(lat, n, vectors):
+    """A PackedClass over the given value vectors, in two-byte fields when
+    the lattice has more than 256 elements."""
+    vector = struct.Struct(f"={lat.size**n}{'B' if lat.size <= 256 else 'H'}")
+    buffer = b"".join(vector.pack(*values) for values in vectors)
+    return PackedClass._trusted(lat, n, memoryview(buffer), vector,
+                                range(0, len(buffer), vector.size))
+
+
+@pytest.mark.parametrize("lat,n", [(chain(3), 2), (chain(300), 1)], ids=["one-byte", "two-byte"])
+def test_selections_share_the_buffer_and_read_field_k_off_it(lat, n):
+    rng = random.Random(7)
+    vectors = [tuple(rng.randrange(lat.size) for _ in range(lat.size**n)) for _ in range(60)]
+    vectors[10] = vectors[40] = (lat.size - 1,) * lat.size**n  # the top value in every field
+    fns = _hand_packed(lat, n, vectors)
+    assert fns._select(b"\1" * 60) is fns and fns._select(bytes(range(1, 61))) is fns
+    assert len(fns._select(bytes(60))) == 0
+    flags = bytes(rng.randrange(2) for _ in range(60))
+    picked = fns._select(flags)
+    assert picked._buffer is fns._buffer
+    kept = [values for values, flag in zip(vectors, flags) if flag]
+    assert list(picked.vectors()) == kept and [f.values for f in picked] == kept
+    assert picked[-1].values == kept[-1] and list(picked[::-2].vectors()) == kept[::-2]
+    # field k of a whole class, of slices of either step and of selections
+    parts = [(fns, vectors), (fns[::-3], vectors[::-3]), (fns[5:50:4], vectors[5:50:4]),
+             (picked, kept), (picked[::-2], kept[::-2]), (fns[60:], [])]
+    for part, values in parts:
+        for k in (0, lat.size**n // 2, lat.size**n - 1):
+            for v in {0, lat.size - 1, *(vs[k] for vs in values[:3])}:
+                where = part._where(k, v)
+                assert where._buffer is fns._buffer
+                assert list(where.vectors()) == [vs for vs in values if vs[k] == v]
 
 
 def test_calling_a_table_checks_arity_and_elements(chain3):

@@ -177,6 +177,20 @@ def test_h_majorant_on_two_byte_fields():
         h_majorant(pool, FnTable(lat, 1, (0,) * lat.size), (200,))
 
 
+def test_h_majorant_on_selections_of_the_pool():
+    # a selection reads field k through its offsets, not as one column
+    lat = m_lattice(2)
+    pool = enumerate_class(lat, 2, "idempotent")
+    picked = pool._select(bytes(i % 5 != 2 for i in range(len(pool))))
+    anchors = all_tuples(lat.size, 2)
+    for part in (picked, picked[::-3]):
+        vectors = [g.values for g in part]
+        for f in (part[0], part[len(part) // 2]):
+            for a in anchors:
+                k = tuple_index(lat.size, a)
+                assert h_majorant(part, f, a).values == plain_majorant(vectors, lat, k, f(a))
+
+
 def test_h_majorant_empty_agreement(chain2):
     pool = [join_fn(chain2)]
     outside = FnTable(chain2, 2, (0, 0, 0, 1))  # meet; disagrees at (0,1)
