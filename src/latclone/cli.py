@@ -9,7 +9,9 @@ self-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import sys
 
 from . import clone, decompose, functable, generators, lattice, terms
@@ -51,12 +53,11 @@ def _int_param(spec: str, param: str) -> int:
         raise LatcloneError(f"bad lattice spec {spec!r}: integer parameter expected")
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(texts, out_path: str | None):
+    """Write each of texts as it comes, to out_path or else to stdout."""
+    with (open(out_path, "w", encoding="utf-8") if out_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(texts)
 
 
 def cmd_lattice_check(args) -> int:
@@ -71,14 +72,10 @@ def cmd_lattice_check(args) -> int:
 def cmd_enum(args) -> int:
     lat = load_lattice(args.lattice)
     query = lat, args.arity, args.cls, args.cell_budget, args.count_budget
-    if not args.emit:  # a count needs no members
-        _emit(f"count={functable.count_class(*query)}\n", args.out)
-        return EXIT_OK
-    fns = functable.enumerate_class(*query)
-    lines = [f"count={len(fns)}"]
-    for i, f in enumerate(fns):
-        lines.append(functable.format_function(f.renamed(f"f{i}")).rstrip("\n"))
-    _emit("\n".join(lines) + "\n", args.out)
+    count = functable.count_class(*query)  # first: a class past the budget is never kept
+    fns = functable.enumerate_class(*query) if args.emit else ()
+    texts = (functable.format_function(f.renamed(f"f{i}")) for i, f in enumerate(fns))
+    _emit(itertools.chain([f"count={count}\n"], texts), args.out)
     return EXIT_OK
 
 
@@ -93,14 +90,14 @@ def cmd_decompose(args) -> int:
     if terms.to_table(term, lat, f.arity).values != f.values:
         print("internal error: decomposition self-check failed", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(terms.format_term_file(term, f.arity, lat.name), args.out)
+    _emit([terms.format_term_file(term, f.arity, lat.name)], args.out)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     lat = load_lattice(args.lattice)
     report = clone.verify_generation(lat, args.arity, args.budget)
-    _emit(clone.format_verification_report(report), args.out)
+    _emit(clone.verification_report_texts(report), args.out)
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
@@ -113,7 +110,7 @@ def cmd_closure(args) -> int:
         with open(path, encoding="utf-8") as fh:
             base.append(functable.parse_function(fh.read(), lat))
     report = clone.closure(base, args.arity, args.budget)
-    _emit(clone.format_closure_report(report), args.out)
+    _emit([clone.format_closure_report(report)], args.out)
     return EXIT_BUDGET if report.budget_hit else EXIT_OK
 
 
@@ -137,8 +134,8 @@ def cmd_count(args) -> int:
         else:
             closed = generators.count_generators_m(n)
             enum = len(generators.reduced_generator_set(lattice.m_lattice(n - 2))) + 2
-        lines.append(f"n={n} count={closed} enum={enum}")
-    _emit("\n".join(lines) + "\n", args.out)
+        lines.append(f"n={n} count={closed} enum={enum}\n")
+    _emit(lines, args.out)
     return EXIT_OK
 
 

@@ -50,8 +50,8 @@ DEFAULT_CLOSURE_BUDGET = 10**6
 class ClosureReport:
     """What closure reached, or which members certify showed to lie in the
     clone; certify's fields are described there.  verify_generation's
-    reached is a PackedClass selection, which compares by identity.
-    keys are built on each read, from the value vectors alone."""
+    reached is a PackedClass selection, which compares by identity; keys,
+    built on each read, compare by value."""
 
     reached: list[FnTable] | PackedClass
     rounds: int
@@ -62,10 +62,7 @@ class ClosureReport:
 
     @property
     def keys(self) -> set:
-        r = self.reached
-        if isinstance(r, PackedClass):
-            return {(r.arity, v) for v in r.vectors()}
-        return {f.key() for f in r}
+        return {f.key() for f in self.reached}
 
 
 def _tuples_with_max(d: int, k: int):
@@ -479,12 +476,16 @@ def _anchor_tables(lat: Lattice, n: int, specs: tuple, budget: int):
     the admissible chis, and the bytes.translate row T[k] has bit 0 of
     entry v set when the chi of (k, v) is certified (part A) and bit 1 when
     its reduced anchor operand tabulates to it (B).  An inadmissible pair
-    gets 0, as does a chi that does not take v at its own cell k."""
-    base = [meet_fn(lat), join_fn(lat), *(s.table(lat) for s in specs)]
+    gets 0, as does a chi that does not take v at its own cell k.  The
+    specs' tables are built only when the seed leaves a chi uncertified,
+    which never happens at arity 1, where every chi is the identity."""
+    ops = [meet_fn(lat), join_fn(lat)]
     points, memo = all_tuples(lat.size, n), {}
     pairs = _admissible_pairs(lat, n)
     chis = [make_chi(lat, points[k], v) for k, v in pairs]
-    report = certify(base, chis, budget)
+    report = certify(ops, chis, budget)
+    if len(report.reached) < len(chis):  # a generator level is needed
+        report = certify(ops + [s.table(lat) for s in specs], chis, budget)
     certified = {f.values for f in report.reached}
     table = [bytearray(256) for _ in points]
     for (k, v), chi in zip(pairs, chis):
@@ -560,12 +561,15 @@ def format_closure_report(report: ClosureReport) -> str:
     )
 
 
-def format_verification_report(report: VerificationReport) -> str:
+def verification_report_texts(report: VerificationReport):
+    """The report's text in pieces: two lines, then each counterexample's
+    function file, so a printout never holds more than one at once."""
     a, b = ("pass" if ok else "fail" for ok in (report.closure_pass, report.decomposition_pass))
-    lines = [
-        f"lattice={report.lattice_name} arity={report.arity} "
-        f"id_count={report.id_count} A={a} B={b}",
-        format_closure_report(report.closure_report).rstrip("\n"),
-        *(format_function(f).rstrip("\n") for f in report.counterexamples),
-    ]
-    return "\n".join(lines) + "\n"
+    yield (f"lattice={report.lattice_name} arity={report.arity} "
+           f"id_count={report.id_count} A={a} B={b}\n")
+    yield format_closure_report(report.closure_report)
+    yield from map(format_function, report.counterexamples)
+
+
+def format_verification_report(report: VerificationReport) -> str:
+    return "".join(verification_report_texts(report))

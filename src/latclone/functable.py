@@ -32,6 +32,7 @@ from .lattice import Lattice, check_label, per_lattice
 
 DEFAULT_CELL_BUDGET = 64
 DEFAULT_COUNT_BUDGET = 10**7
+_BYTES = bytes(range(256))  # its first m bytes are the elements of a lattice of m <= 256
 
 
 @lru_cache(maxsize=None)
@@ -125,13 +126,6 @@ def _cells(lat: Lattice, n: int) -> _Cells:
     )
 
 
-@per_lattice
-def _elements(lat: Lattice) -> bytes | frozenset:
-    """The element indices 0..m-1, the values a table may hold: as bytes
-    when each fits one (m <= 256), else as a frozenset."""
-    return bytes(range(lat.size)) if lat.size <= 256 else frozenset(range(lat.size))
-
-
 @dataclass(frozen=True, slots=True)
 class FnTable:
     """Total n-ary function on a lattice, one value per input tuple; a name
@@ -151,13 +145,15 @@ class FnTable:
         if len(self.values) != m**self.arity:
             raise ArityMismatch(f"value vector has {len(self.values)} entries, "
                                 f"expected {m**self.arity}")
-        elements = _elements(self.lattice)
         try:
             # bytes and array refuse a value that is not an int, which a test
             # by value would take for an element (1.0 for 1); a one-byte
             # table is inside when deleting the elements leaves no byte
-            outside = (bytes(self.values).translate(None, elements) if m <= 256
-                       else not elements.issuperset(array("q", self.values)))
+            if m <= 256:
+                outside = bytes(self.values).translate(None, _BYTES[:m])
+            else:
+                wide = array("q", self.values)
+                outside = min(wide) < 0 or max(wide) >= m
         except (TypeError, ValueError, OverflowError):
             outside = True
         if outside:
@@ -661,14 +657,6 @@ class PackedClass(Sequence):
         return self if 0 not in flags else PackedClass._trusted(
             self._lattice, self._arity, self._buffer, self._vector,
             array("q", itertools.compress(self._offsets, flags) if flags.strip(b"\0") else ()))
-
-    def _where(self, k: int, value: int) -> PackedClass:
-        """The members whose field k holds value, read off the buffer."""
-        fields, at = self._buffer.cast(self._vector.format[-1]), self._offsets
-        w = fields.itemsize
-        column = fields[at.start // w + k::at.step // w][:len(at)] if isinstance(at, range) \
-            else (fields[o // w + k] for o in at)
-        return self._select(bytes(map(value.__eq__, column)))
 
 
 def _class_blocks(lat: Lattice, n: int, cls: str, cell_budget: int, count_budget: int):

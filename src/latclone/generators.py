@@ -232,8 +232,8 @@ def h_majorant(pool, f: FnTable, a) -> FnTable:
     if any(g.arity != f.arity for g in members):
         raise ArityMismatch(f"pool members must have the arity {f.arity} of f")
     fa, k, up = f(a), tuple_index(f.lattice.size, a), _packer(f.lattice, "up")
-    agreeing = list(pool._where(k, fa).vectors()) if packed else \
-        [g.values for g in members if g.values[k] == fa]
+    vectors = pool.vectors() if packed else (g.values for g in members)
+    agreeing = [vs for vs in vectors if vs[k] == fa]
     if not agreeing:
         raise EmptyAgreementSet(f"no pool member takes value {fa} at {a}")
     # up(x join y) = up(x) & up(y): the join is the and of the up-set masks

@@ -10,6 +10,7 @@ joins of more than two operands are built as left-nested binary nodes.
 
 from __future__ import annotations
 
+import re
 import weakref
 from functools import reduce
 
@@ -259,22 +260,9 @@ def _render(t: Term, parts: list[str], spans: dict) -> None:
 
 
 def _tokenize(s: str):
-    tokens = []  # (token, position)
-    i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        else:
-            j = i
-            while j < len(s) and not s[j].isspace() and s[j] not in "()":
-                j += 1
-            tokens.append((s[i:j], i))
-            i = j
-    return tokens
+    r"""(token, position) for each parenthesis and each run of other
+    non-space characters; \s matches just what str.isspace() holds."""
+    return [(t.group(), t.start()) for t in re.finditer(r"[()]|[^\s()]+", s)]
 
 
 def parse_term(s: str, n: int) -> Term:

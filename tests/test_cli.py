@@ -1,3 +1,4 @@
+import io
 import itertools
 import os
 import subprocess
@@ -279,6 +280,31 @@ def test_verify_prints_each_counterexample_of_part_a(capsys, monkeypatch):
     assert len({f.values for f in fns} & ids) == len(fns) == 55
 
 
+class _Writes(io.StringIO):
+    """A stdout that records each single write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_verify_writes_one_function_at_a_time(monkeypatch):
+    # the same failing run: its printout goes out a function file at a time
+    monkeypatch.setattr(clone, "reduced_generator_set", lambda lat: [
+        s for s in generators.reduced_generator_set(lat) if s.format() != "iota[0,1,2;0]"])
+    monkeypatch.setattr(sys, "stdout", _Writes())
+    assert main(["verify", "--lattice", "chain:3", "--arity", "2"]) == 2
+    report = clone.verify_generation(load_lattice("chain:3"), 2)
+    longest = max(len(format_function(f)) for f in report.counterexamples)
+    assert len(sys.stdout.writes) == 2 + 55
+    assert max(map(len, sys.stdout.writes)) <= longest
+    assert "".join(sys.stdout.writes) == clone.format_verification_report(report)
+
+
 def test_decompose_self_check_failure_exits_4(capsys, monkeypatch, median_file):
     monkeypatch.setattr(terms, "to_table", lambda t, lat, n: projection(lat, n, 1))
     code, out, err = run(capsys, ["decompose", "--lattice", "chain:3", median_file, "--reduced"])
@@ -300,24 +326,44 @@ def test_verify_budget_exit(capsys):
     assert "BudgetExceeded" in err
 
 
-def test_verify_past_the_count_budget_exits_before_keeping_the_class():
-    # chain8 at arity 2 has over 10**7 idempotent members, 64 bytes each:
-    # the class is counted, not kept, before the budget trips.  A child
-    # process runs the command and prints its own peak RSS, which the kept
-    # class would take past 640 MB; the command stays near 40 MB, of which
-    # the import is about 17 MB.  The peak is VmHWM, which exec starts
-    # afresh: ru_maxrss keeps the RSS of the process that spawned the child
+def _child_peak(argv):
+    """(exit code, stdout lines, stderr, peak RSS in KiB) of main(argv) run
+    in a child process, which prints its own peak after the command.  The
+    peak is VmHWM, which exec starts afresh: ru_maxrss keeps the RSS of the
+    process that spawned the child."""
     probe = ("import sys\nfrom latclone.cli import main\n"
-             "code = main(['verify', '--lattice', 'chain:8', '--arity', '2'])\n"
+             f"code = main({argv!r})\n"
              "with open('/proc/self/status') as fh:\n"
              "    print(*[line.split()[1] for line in fh if line.startswith('VmHWM:')])\n"
              "sys.exit(code)\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=300)
-    assert done.returncode == 3
-    assert done.stderr == "BudgetExceeded: class size exceeds the count budget 10000000\n"
-    peak_kib = int(done.stdout)  # the command itself printed nothing
+    *out, peak = done.stdout.split("\n")[:-1]
+    return done.returncode, out, done.stderr, int(peak)
+
+
+def test_verify_past_the_count_budget_exits_before_keeping_the_class():
+    # chain8 at arity 2 has over 10**7 idempotent members, 64 bytes each:
+    # the class is counted, not kept, before the budget trips.  The child's
+    # peak RSS would pass 640 MB if it kept the class; the command stays
+    # near 40 MB, of which the import is about 17 MB
+    code, printed, err, peak_kib = _child_peak(["verify", "--lattice", "chain:8", "--arity", "2"])
+    assert code == 3
+    assert err == "BudgetExceeded: class size exceeds the count budget 10000000\n"
+    assert printed == []  # the command itself printed nothing
+    assert peak_kib * 1024 < 100 * 2**20
+
+
+def test_enum_emit_past_the_count_budget_exits_before_keeping_the_class(tmp_path):
+    # as verify: --emit counts first, so the 10**7 members are never kept
+    out = tmp_path / "members.txt"
+    code, printed, err, peak_kib = _child_peak(
+        ["enum", "--lattice", "chain:8", "--arity", "2", "--class", "idempotent", "--emit",
+         "--out", str(out)])
+    assert (code, printed) == (3, [])
+    assert err == "BudgetExceeded: class size exceeds the count budget 10000000\n"
+    assert not out.exists()
     assert peak_kib * 1024 < 100 * 2**20
 
 

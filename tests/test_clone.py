@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import time
+from collections import Counter
 from functools import reduce
 from operator import and_, getitem
 
@@ -31,7 +32,7 @@ from latclone import (
     to_table,
     verify_generation,
 )
-from latclone import clone, functable
+from latclone import clone, functable, generators
 from latclone.clone import DEFAULT_CLOSURE_BUDGET
 from latclone.errors import (
     ArityMismatch,
@@ -839,6 +840,18 @@ def test_verify_generation_on_chain2_at_arity_5():
     assert report.ok and report.id_count == 7579
     assert report.closure_report.rounds == 0
     assert len(report.closure_report.reached) == 7579
+
+
+def test_verify_at_arity_1_tabulates_only_the_operands_iotas():
+    # Id^1 holds the identity alone, whose chis the seed certifies: no
+    # generator level is needed, so of chain20's 2870 reduced iotas only the
+    # 20 that part B's operands apply are tabulated, next to the 20 chis
+    lat = chain(20)
+    report = verify_generation(lat, 1)
+    assert report.ok and report.id_count == 1
+    assert (report.closure_report.rounds, report.closure_report.attempts) == (0, 0)
+    tabulated = Counter(spec.kind for spec, in lat._memo[generators._spec_table.__wrapped__])
+    assert len(reduced_generator_set(lat)) == 2870 and tabulated == {"chi": 20, "iota": 20}
 
 
 def test_verify_generation_reports_uncertified_members(chain3, monkeypatch):

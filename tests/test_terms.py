@@ -6,6 +6,8 @@ import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latclone import (
     Apply,
@@ -44,6 +46,7 @@ from latclone.terms import (
     _interned,
     _table_memo,
     _texts,
+    _tokenize,
     depth,
     format_term_file,
     join_of,
@@ -407,6 +410,35 @@ def test_parse_round_trip(chain3):
     )
     assert parse_term(print_term(t), 2) is t
     assert parse_term("  ( meet   x1\n x2 ) ", 2) is Meet(Var(1), Var(2))
+
+
+def _scanned_tokens(s):
+    """The hand scanner that _tokenize replaced, kept as its reference."""
+    tokens = []  # (token, position)
+    i = 0
+    while i < len(s):
+        ch = s[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append((ch, i))
+            i += 1
+        else:
+            j = i
+            while j < len(s) and not s[j].isspace() and s[j] not in "()":
+                j += 1
+            tokens.append((s[i:j], i))
+            i = j
+    return tokens
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text(st.sampled_from("()x0129 \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u1680\u2028\u3000"
+                               "\u200b\ufeff"), max_size=40))
+def test_tokens_match_the_hand_scanner(text):
+    # \x1c-\x1f, \x85, \xa0, \u2028 and \u3000 are str.isspace(); the zero
+    # width space and the byte order mark are not, and stay inside a token
+    assert _tokenize(text) == _scanned_tokens(text)
 
 
 def test_parse_errors_report_position():
